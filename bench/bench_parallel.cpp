@@ -11,8 +11,8 @@
 // Also enforces an absolute single-worker throughput floor (ISSUE 7): a
 // scheduler or hot-path regression that halves events/s fails this bench
 // by exit code, not just in a dashboard.  The floor is deliberately
-// loose (~25% of the throughput measured on the reference dev host after
-// the timer-wheel scheduler landed) so slower CI machines pass while a
+// loose (a fifth to a quarter of the single-worker throughput measured on
+// the reference dev host) so slower CI machines pass while a
 // genuine algorithmic regression cannot.  Not enforced under sanitizers.
 #include <cstdio>
 #include <vector>

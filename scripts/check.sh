@@ -32,7 +32,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
   echo "==> build fuzz targets"
   cmake --build --preset fuzz -j "${jobs}"
   for target in fuzz_gcode_parser fuzz_capture_binary fuzz_svc_json \
-                fuzz_session_wire fuzz_ref_cache; do
+                fuzz_session_wire fuzz_ref_cache fuzz_checkpoint; do
     corpus="tests/fuzz_corpus/${target#fuzz_}"
     case "${target}" in
       fuzz_gcode_parser)   corpus=tests/fuzz_corpus/gcode ;;
@@ -40,6 +40,7 @@ if [[ "${fuzz}" -eq 1 ]]; then
       fuzz_svc_json)       corpus=tests/fuzz_corpus/json ;;
       fuzz_session_wire)   corpus=tests/fuzz_corpus/session ;;
       fuzz_ref_cache)      corpus=tests/fuzz_corpus/refcache ;;
+      fuzz_checkpoint)     corpus=tests/fuzz_corpus/checkpoint ;;
     esac
     echo "==> ${target}: corpus replay + ${budget}s mutation run"
     "./build-fuzz/fuzz/${target}" --time "${budget}" "${corpus}"
@@ -60,6 +61,11 @@ cmake --build --preset lint
 if [[ "${quick}" -eq 0 ]]; then
   echo "==> tests"
   ctest --preset default -j "${jobs}"
+  # The end-to-end benchmark (BENCHMARK.json) builds the tree from source
+  # in its own directory and checks its workloads' outputs; its smoke run
+  # keeps that build and those checks green.
+  echo "==> end-to-end benchmark smoke (perfbench)"
+  python3 perfbench/smoke_test.py
 else
   # Quick mode still smoke-checks the fleet service end to end (unit
   # tests, detector edge cases, and the three CLI exit-code contracts).
@@ -82,14 +88,13 @@ else
   # multi-modal CLI acceptance drill.
   echo "==> fusion suite (ctest -L fusion)"
   ctest --preset default -L fusion -j "${jobs}"
-  # ...and the perf gates as smoke runs: timer-wheel vs heap ratio,
-  # events/s floor, metrics-enabled fleet overhead, cold-vs-warm
-  # reference-cache speedup.  On plain builds the thresholds enforce by
-  # exit code; under sanitizers the benches downgrade themselves to
-  # report-only (bench::built_with_sanitizers), so this stays a
-  # correctness smoke there.
-  echo "==> perf smoke (bench_sched / bench_parallel / bench_obs / bench_cache)"
-  ./build/bench/bench_sched
+  # ...and the perf gates as smoke runs: events/s floor, metrics-enabled
+  # fleet overhead, cold-vs-warm reference-cache speedup.  On plain
+  # builds the thresholds enforce by exit code; under sanitizers the
+  # benches downgrade themselves to report-only
+  # (bench::built_with_sanitizers), so this stays a correctness smoke
+  # there.
+  echo "==> perf smoke (bench_parallel / bench_obs / bench_cache)"
   ./build/bench/bench_parallel --jobs 2
   ./build/bench/bench_obs --jobs 2
   ./build/bench/bench_cache --jobs 2

@@ -11,10 +11,10 @@
 // Hot-path notes: listener lists live in `SmallVec` inline storage (most
 // nets have one forwarding connection plus at most one observer), so
 // wiring a board allocates nothing per net and edge delivery walks
-// memory inside the Wire itself.  Same-tick edge bursts are batched one
-// level up: the scheduler drains a whole tick's events as one sorted
-// run (see timer_wheel.hpp), so a burst of simultaneous edges is
-// delivered in a single pass without re-ordering listener interleaving.
+// memory inside the Wire itself.  Ordering of simultaneous edges is the
+// scheduler's: same-tick events run in insertion order (see
+// scheduler.hpp), so a burst of simultaneous edges reaches listeners
+// in exactly the order it was driven.
 #pragma once
 
 #include <cstddef>

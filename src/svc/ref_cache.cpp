@@ -1,6 +1,9 @@
 #include "svc/ref_cache.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -292,21 +295,32 @@ std::optional<RefEntry> RefCache::get(std::uint64_t key) {
 }
 
 void RefCache::put(std::uint64_t key, const RefEntry& entry) {
+  // Per-writer temp name (pid + process-wide sequence): two processes
+  // sharing the directory must never truncate each other's temp file.
+  // The ".tmp" extension keeps in-flight files out of the budget scan.
+  static std::atomic<std::uint64_t> next_tmp{0};
   const std::lock_guard<std::mutex> lock(mu_);
   const std::string path = path_for(key);
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                          std::to_string(next_tmp.fetch_add(1)) + ".tmp";
   const auto bytes = encode_entry(key, entry);
+  std::error_code ec;
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) throw Error("RefCache: cannot open " + tmp);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw Error("RefCache: write failed for " + tmp);
+    out.close();
+    if (!out) {
+      fs::remove(tmp, ec);
+      throw Error("RefCache: write failed for " + tmp);
+    }
   }
-  std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
-    throw Error("RefCache: rename to " + path + " failed: " + ec.message());
+    const std::string why = ec.message();
+    fs::remove(tmp, ec);
+    throw Error("RefCache: rename to " + path + " failed: " + why);
   }
   enforce_budget_locked();
 }

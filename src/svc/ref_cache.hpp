@@ -23,7 +23,9 @@
 // miss - the caller recomputes, the cache never crashes a campaign.
 // Writes go to a temp file and atomically rename into place, so a
 // half-written entry (crash, chaos kCacheTear) can never be read back as
-// truth.  An optional byte budget is enforced LRU by file mtime (get()
+// truth.  Each put's temp name is unique to the writing process and call,
+// so processes sharing one cache directory never write the same temp
+// file; concurrent puts of one key each rename a whole entry, last wins.  An optional byte budget is enforced LRU by file mtime (get()
 // refreshes an entry's mtime), evicting oldest-first but never the entry
 // just written.
 #pragma once

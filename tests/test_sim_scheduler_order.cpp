@@ -1,12 +1,16 @@
-// Ordering-invariant property tests for the timer-wheel scheduler.
+// Ordering-invariant property tests for `sim::Scheduler`.
 //
-// The wheel replaced the binary heap (PR 7) under a hard contract: events
-// drain in exactly (time, seq) order, FIFO among same-tick events, no
-// matter how insertions interleave with drains or how far times spread
-// across wheel levels and the overflow spill heap.  Every fleet/campaign/
+// The scheduler's contract: events drain in exactly (time, seq) order,
+// FIFO among same-tick events, no matter how insertions interleave with
+// drains or how far apart event times spread.  Every fleet/campaign/
 // checkpoint digest depends on this, so the tests here compare the real
-// `sim::Scheduler` against a reference binary-heap scheduler (a faithful
-// copy of the pre-wheel implementation) running the same schedule script.
+// `sim::Scheduler` against a minimal reference binary-heap scheduler
+// running the same schedule script: random one-shot events, events that
+// spawn children mid-drain, far-future events, and the dense, sparse and
+// mixed self-rescheduling chain profiles the simulator's event traffic is
+// made of.  Any change to the scheduler's storage must keep these green.
+// The suite keeps its historical `SchedulerWheelProperty` name (from when
+// a timer wheel backed the scheduler) so the test IDs stay stable.
 
 #include <algorithm>
 #include <cstdint>
@@ -19,16 +23,15 @@
 
 #include "sim/scheduler.hpp"
 #include "sim/time.hpp"
-#include "sim/timer_wheel.hpp"
 
 namespace {
 
 using offramps::sim::Scheduler;
 using offramps::sim::Tick;
-using offramps::sim::TimerWheel;
 
-/// The pre-wheel scheduler, verbatim in ordering behavior: a plain
-/// binary heap popped in (time, seq) order.  Kept here as the oracle.
+/// The oracle: a plain binary heap popped in (time, seq) order, with
+/// none of the real scheduler's hot-path machinery (SmallFn callbacks,
+/// time warp, metrics, stop requests, deadlines).
 class RefHeapScheduler {
  public:
   using Callback = std::function<void()>;
@@ -82,28 +85,33 @@ struct LogEntry {
   bool operator==(const LogEntry&) const = default;
 };
 
-/// Time distributions matching the workloads bench_sched measures.
+/// Far-future offset for the draws and cases below: 2^32 ticks (~4.3
+/// simulated seconds), beyond any delta the simulator's pulse trains and
+/// clock edges use.
+constexpr Tick kFar = Tick{1} << 32;
+
+/// Event-time distributions for the randomized scripts.
 Tick draw_time(std::mt19937_64& rng, int dist) {
   switch (dist) {
     case 0:  // dense: stepper-burst spacing, heavy same-tick collisions
       return rng() % 64;
-    case 1:  // sparse: thermal-tick spacing, exercises levels 1-2
+    case 1:  // sparse: thermal-tick spacing
       return rng() % 10'000'000;
     case 2:  // clustered: few distinct ticks, long FIFO runs
       return (rng() % 8) * 1000;
-    default:  // far future: beyond the wheel horizon, spill-heap path
-      return TimerWheel::kHorizon + rng() % 1'000'000;
+    default:  // far future: supervisor deadlines, end-of-print watchdogs
+      return kFar + rng() % 1'000'000;
   }
 }
 
 /// Runs the same generative schedule script on both schedulers and
-/// returns (wheel log, reference log).  Initial events may spawn
+/// returns (scheduler log, reference log).  Initial events may spawn
 /// children by a deterministic rule keyed on the event id, so insertion
 /// interleaves with draining on both sides identically as long as the
 /// drain order matches - any divergence shows up in the logs.
 std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_script(
     std::uint64_t seed, std::size_t n_initial, bool spawn_children) {
-  std::vector<LogEntry> wheel_log;
+  std::vector<LogEntry> sched_log;
   std::vector<LogEntry> ref_log;
 
   const auto drive = [&](auto& sched, std::vector<LogEntry>& log) {
@@ -131,26 +139,26 @@ std::pair<std::vector<LogEntry>, std::vector<LogEntry>> run_script(
     sched.run_all();
   };
 
-  Scheduler wheel;
-  drive(wheel, wheel_log);
+  Scheduler sched;
+  drive(sched, sched_log);
   RefHeapScheduler ref;
   drive(ref, ref_log);
-  return {wheel_log, ref_log};
+  return {sched_log, ref_log};
 }
 
 TEST(SchedulerWheelProperty, RandomizedInsertionsDrainLikeReferenceHeap) {
   for (std::uint64_t seed : {1ULL, 7ULL, 42ULL, 1234567ULL, 0xdeadbeefULL}) {
-    auto [wheel_log, ref_log] = run_script(seed, 500, /*spawn_children=*/false);
-    ASSERT_EQ(wheel_log.size(), 500u) << "seed " << seed;
-    EXPECT_EQ(wheel_log, ref_log) << "seed " << seed;
+    auto [sched_log, ref_log] = run_script(seed, 500, /*spawn_children=*/false);
+    ASSERT_EQ(sched_log.size(), 500u) << "seed " << seed;
+    EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
   }
 }
 
 TEST(SchedulerWheelProperty, InterleavedSpawningDrainsLikeReferenceHeap) {
   for (std::uint64_t seed : {3ULL, 99ULL, 0xabcdefULL}) {
-    auto [wheel_log, ref_log] = run_script(seed, 200, /*spawn_children=*/true);
-    ASSERT_GT(wheel_log.size(), 200u) << "seed " << seed;
-    EXPECT_EQ(wheel_log, ref_log) << "seed " << seed;
+    auto [sched_log, ref_log] = run_script(seed, 200, /*spawn_children=*/true);
+    ASSERT_GT(sched_log.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(sched_log, ref_log) << "seed " << seed;
   }
 }
 
@@ -193,9 +201,9 @@ TEST(SchedulerWheelProperty, StepIfBeforeBoundaryIsInclusive) {
 }
 
 TEST(SchedulerWheelProperty, ScheduleEarlierAfterRefusedStepStillOrdersFirst) {
-  // step_if_before()'s internal peek pulls the earliest event into the
-  // wheel's ready batch; scheduling an even earlier event afterwards
-  // must spill that batch back and drain in (time, seq) order anyway.
+  // A refused step_if_before() has already looked at the earliest
+  // event; scheduling an even earlier one afterwards must still drain
+  // in (time, seq) order.
   Scheduler s;
   std::vector<int> order;
   s.schedule_at(1000, [&]() { order.push_back(1); });
@@ -226,23 +234,22 @@ TEST(SchedulerWheelProperty, StopRequestedMidDrainPreservesRemainder) {
 TEST(SchedulerWheelProperty, FarFutureEventsSpillToOverflowAndStillOrder) {
   Scheduler s;
   std::vector<int> order;
-  // A near event first (a lone first event is served from the ready run
-  // regardless of its time), then beyond-horizon ones (delta >= 2^32):
-  // those land in the spill heap.
+  // A near event first, then far-future ones (delta >= 2^32) inserted
+  // out of order, one just short of the far boundary.
   s.schedule_at(50, [&]() { order.push_back(0); });
-  s.schedule_at(TimerWheel::kHorizon + 500, [&]() { order.push_back(2); });
-  s.schedule_at(2 * TimerWheel::kHorizon + 7, [&]() { order.push_back(3); });
-  s.schedule_at(TimerWheel::kHorizon - 1, [&]() { order.push_back(1); });
-  EXPECT_GE(s.overflowed(), 2u);
+  s.schedule_at(kFar + 500, [&]() { order.push_back(2); });
+  s.schedule_at(2 * kFar + 7, [&]() { order.push_back(3); });
+  s.schedule_at(kFar - 1, [&]() { order.push_back(1); });
+  EXPECT_EQ(s.pending(), 4u);
   s.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(s.now(), 2 * TimerWheel::kHorizon + 7);
-  EXPECT_EQ(s.overflowed(), 0u);
+  EXPECT_EQ(s.now(), 2 * kFar + 7);
+  EXPECT_TRUE(s.idle());
 }
 
 TEST(SchedulerWheelProperty, SlotResidueCollisionsDrainInTimeOrder) {
-  // Times congruent mod 256 share a level-0 slot; times congruent mod
-  // 65536 share a level-1 slot.  Neither may leak a later lap early.
+  // Times congruent mod 256 and mod 65536: a bucketed queue keyed on
+  // low time bits would alias them, a correct one drains them in order.
   Scheduler s;
   std::vector<Tick> times;
   for (Tick base : {Tick{5}, Tick{5 + 256}, Tick{5 + 512},
@@ -257,8 +264,8 @@ TEST(SchedulerWheelProperty, SlotResidueCollisionsDrainInTimeOrder) {
 }
 
 TEST(SchedulerWheelProperty, LongRunningChainsCrossLevelBoundaries) {
-  // A self-rescheduling chain whose period sweeps across level widths
-  // forces cascades at every level boundary.
+  // A self-rescheduling chain whose period sweeps from 1 tick to ~2 ms
+  // and back, so each hop lands at a different distance from now().
   Scheduler s;
   std::uint64_t hops = 0;
   Tick last = 0;
@@ -276,41 +283,90 @@ TEST(SchedulerWheelProperty, LongRunningChainsCrossLevelBoundaries) {
   EXPECT_EQ(hops, 200u);
 }
 
-TEST(TimerWheelUnit, PeekIsIdempotentAndPopConsumes) {
-  TimerWheel w;
-  w.insert(30, 0, []() {});
-  w.insert(10, 1, []() {});
-  w.insert(10, 2, []() {});
-  EXPECT_EQ(w.size(), 3u);
-  Tick t = 0;
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, 10u);
-  ASSERT_TRUE(w.peek(&t));  // idempotent
-  EXPECT_EQ(t, 10u);
-  EXPECT_EQ(w.pop().seq, 1u);
-  EXPECT_EQ(w.pop().seq, 2u);
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, 30u);
-  EXPECT_EQ(w.pop().seq, 0u);
-  EXPECT_TRUE(w.empty());
-  EXPECT_FALSE(w.peek(&t));
+/// Self-rescheduling chain profiles: many concurrent timers, each
+/// re-arming itself after a delta drawn from a fixed hash of (chain,
+/// hop).
+///   dense  - deltas 1..16 ticks (stepper pulse trains, FPGA clock
+///            edges): heavy same-tick collisions across chains;
+///   sparse - deltas ~0.2-2.2 ms (thermal ticks, control deadlines);
+///   mixed  - odd chains dense, even chains sparse, on one queue.
+enum class ChainProfile { kDense, kSparse, kMixed };
+
+Tick chain_delta(ChainProfile profile, std::uint32_t id, std::uint32_t hop) {
+  const std::uint64_t x =
+      ((static_cast<std::uint64_t>(id) << 32) | hop) * 0x9e3779b97f4a7c15ULL;
+  const Tick dense = 1 + (x & 15);
+  const Tick sparse = 200'000 + (x % 2'000'000);
+  switch (profile) {
+    case ChainProfile::kDense:
+      return dense;
+    case ChainProfile::kSparse:
+      return sparse;
+    default:
+      return (id & 1) != 0 ? dense : sparse;
+  }
 }
 
-TEST(TimerWheelUnit, OverflowMigratesAsCursorAdvances) {
-  TimerWheel w;
-  int dummy = 0;
-  w.insert(1, 0, [&dummy]() { ++dummy; });
-  w.insert(TimerWheel::kHorizon + 100, 1, [&dummy]() { ++dummy; });
-  EXPECT_EQ(w.overflow_size(), 1u);
-  Tick t = 0;
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, 1u);
-  (void)w.pop();
-  ASSERT_TRUE(w.peek(&t));
-  EXPECT_EQ(t, TimerWheel::kHorizon + 100);
-  EXPECT_EQ(w.overflow_size(), 0u);  // migrated into the wheel
-  (void)w.pop();
-  EXPECT_TRUE(w.empty());
+/// FNV-1a digest over every executed (now, chain id) pair.
+template <typename Sched>
+struct ChainCtx {
+  Sched* sched;
+  ChainProfile profile;
+  std::uint32_t hops;
+  std::uint64_t executed = 0;
+  std::uint64_t digest = 1469598103934665603ULL;
+};
+
+/// One chain hop.  Trivially copyable and 16 bytes, so it rides inline
+/// in the real scheduler's SmallFn, as the simulator's own lambdas do.
+template <typename Sched>
+struct ChainHop {
+  ChainCtx<Sched>* ctx;
+  std::uint32_t id;
+  std::uint32_t hop;
+
+  void operator()() const {
+    ++ctx->executed;
+    ctx->digest = (ctx->digest ^ ctx->sched->now()) * 1099511628211ULL;
+    ctx->digest = (ctx->digest ^ id) * 1099511628211ULL;
+    if (hop + 1 < ctx->hops) {
+      ctx->sched->schedule_in(chain_delta(ctx->profile, id, hop + 1),
+                              ChainHop{ctx, id, hop + 1});
+    }
+  }
+};
+
+template <typename Sched>
+std::pair<std::uint64_t, std::uint64_t> run_chains(ChainProfile profile,
+                                                   std::uint32_t chains,
+                                                   std::uint32_t hops) {
+  Sched s;
+  ChainCtx<Sched> ctx{&s, profile, hops};
+  for (std::uint32_t id = 0; id < chains; ++id) {
+    s.schedule_in(chain_delta(profile, id, 0), ChainHop<Sched>{&ctx, id, 0});
+  }
+  s.run_all();
+  return {ctx.executed, ctx.digest};
+}
+
+TEST(SchedulerWheelProperty, ChainProfilesDrainLikeReferenceHeap) {
+  struct Case {
+    ChainProfile profile;
+    const char* name;
+    std::uint32_t chains;
+    std::uint32_t hops;
+  };
+  for (const Case& c : {Case{ChainProfile::kDense, "dense", 256, 512},
+                        Case{ChainProfile::kSparse, "sparse", 64, 1024},
+                        Case{ChainProfile::kMixed, "mixed", 256, 512}}) {
+    const auto [events, digest] =
+        run_chains<Scheduler>(c.profile, c.chains, c.hops);
+    const auto [ref_events, ref_digest] =
+        run_chains<RefHeapScheduler>(c.profile, c.chains, c.hops);
+    EXPECT_EQ(events, std::uint64_t{c.chains} * c.hops) << c.name;
+    EXPECT_EQ(events, ref_events) << c.name;
+    EXPECT_EQ(digest, ref_digest) << c.name;
+  }
 }
 
 }  // namespace

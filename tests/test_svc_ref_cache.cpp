@@ -1,9 +1,11 @@
 // svc::RefCache: digest stability/sensitivity, the bounded on-disk
 // record codec, the paranoid rejection paths (truncated, corrupt,
 // version-skewed, mis-keyed, trailing-garbage entries are deleted and
-// treated as misses - never crashes), the LRU byte budget, and the
-// cachetear chaos drill.
+// treated as misses - never crashes), the LRU byte budget, the cachetear
+// chaos drill, and two processes sharing one cache directory.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -331,6 +333,53 @@ TEST(RefCache, LruEvictsOldestButNeverTheEntryJustWritten) {
       << "a freshly-read entry is recent, not stale";
   EXPECT_FALSE(std::filesystem::exists(cache.path_for(3)));
   EXPECT_TRUE(std::filesystem::exists(cache.path_for(4)));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RefCache, TwoProcessesPuttingTheSameKeyNeverFail) {
+  // `--cache` is documented as safe to share between processes.  Two
+  // writers putting the same key at once must both succeed and leave one
+  // valid entry: neither may truncate the other's temp file or lose the
+  // rename.  The in-process mutex cannot help here, so the children are
+  // real processes.
+  const auto dir = fresh_dir("refcache_two_procs");
+  const std::uint64_t key =
+      reference_digest(6.0, 1.5, SliceProfile{}, 42, all_channels());
+  const RefEntry entry = sample_entry(500, 16, 16);
+  RefCache({.dir = dir.string(), .max_bytes = 0});  // creates the directory
+
+  constexpr int kPuts = 30;
+  const auto writer = [&]() -> int {
+    try {
+      RefCache cache({.dir = dir.string(), .max_bytes = 0});
+      for (int i = 0; i < kPuts; ++i) cache.put(key, entry);
+      return 0;
+    } catch (const Error&) {
+      return 1;
+    }
+  };
+  pid_t children[2];
+  for (pid_t& child : children) {
+    child = fork();
+    ASSERT_GE(child, 0) << "fork failed";
+    if (child == 0) _exit(writer());
+  }
+  for (const pid_t child : children) {
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0)
+        << "a writer's put threw while another process wrote the same key";
+  }
+
+  RefCache cache({.dir = dir.string(), .max_bytes = 0});
+  const auto hit = cache.get(key);
+  ASSERT_TRUE(hit.has_value()) << "the surviving entry must decode";
+  EXPECT_EQ(hit->golden.to_binary(), entry.golden.to_binary());
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    EXPECT_NE(file.path().extension(), ".tmp")
+        << "leftover temp file " << file.path();
+  }
   std::filesystem::remove_all(dir);
 }
 
