@@ -143,7 +143,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
   std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
 
   json.add("ok", ok);
   json.write();

@@ -18,7 +18,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   try {
     const offramps::svc::Checkpoint ck =
         offramps::svc::Checkpoint::from_binary(data, size);
-    for (const offramps::svc::ReferenceSnapshot& ref : ck.references) {
+    for (const offramps::svc::RefEntry& ref : ck.references) {
       (void)ref.golden.transactions.size();
       (void)ref.golden_power.size();
       (void)ref.golden_acoustic.size();

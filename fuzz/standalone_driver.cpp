@@ -7,31 +7,45 @@
 //   * replays every corpus file/directory named on the command line
 //     (the CI regression mode - a crash is an immediate nonzero exit),
 //   * and with --time S additionally runs a deterministic mutation loop
-//     for S seconds, seeded from the corpus: splitmix64-driven byte
-//     flips, splices, truncations and insertions.  The PRNG seed is
-//     fixed (override with --seed N), so a given (corpus, seed, time)
-//     budget explores a reproducible prefix of the same input stream.
+//     for S seconds of wall time, seeded from the corpus:
+//     splitmix64-driven byte flips, splices, truncations and insertions.
+//     The PRNG seed is fixed (override with --seed N), so a given
+//     (corpus, seed, time) budget explores a reproducible prefix of the
+//     same input stream.
 //
-// Any input that makes the target crash is first written to
-// "<progname>-last-input.bin" before execution, so the offending bytes
-// survive an abort and can be minimized into tests/fuzz_corpus/.
+// When an input kills the process - a sanitizer report (the fuzz build
+// uses -fno-sanitize-recover=all, so UBSan findings die too) or an
+// uncaught exception - the input is written to
+// "<progname>-last-input.bin" on the way down, so the offending bytes
+// can be minimized into tests/fuzz_corpus/.  Nothing is written per
+// input: the loop's speed does not depend on the disk.
 //
 // Under clang the same harness sources link against -fsanitize=fuzzer
 // instead (see fuzz/CMakeLists.txt) and this file is not built.
+#include <dlfcn.h>
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
-#include <iterator>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
                                       std::size_t size);
+
+// Provided by the sanitizer runtimes; weak so the driver still links
+// without one.
+extern "C" void __sanitizer_set_death_callback(void (*callback)(void))
+    __attribute__((weak));
 
 namespace {
 
@@ -76,15 +90,45 @@ void collect(const fs::path& path, std::vector<Input>& corpus) {
 }
 
 std::string g_last_input_path;
+const Input* g_current = nullptr;  // the input being executed
+
+/// Death hook: saves the input that is killing the process.  Plain POSIX
+/// calls only, since it runs inside a sanitizer's failure path.
+void save_current_input() {
+  const Input* input = g_current;
+  if (input == nullptr || g_last_input_path.empty()) return;
+  const int fd = ::open(g_last_input_path.c_str(),
+                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return;
+  std::size_t done = 0;
+  while (done < input->size()) {
+    const ssize_t n = ::write(fd, input->data() + done, input->size() - done);
+    if (n <= 0) break;
+    done += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+}
+
+/// Hooks save_current_input() into every sanitizer runtime's death path.
+/// GCC links UBSan as a runtime of its own, with its own callback list,
+/// beside ASan's; under clang one runtime serves both.
+void register_death_callback() {
+  if (__sanitizer_set_death_callback != nullptr) {
+    __sanitizer_set_death_callback(save_current_input);
+  }
+  using Setter = void (*)(void (*)(void));
+  if (void* ubsan = ::dlopen("libubsan.so.1", RTLD_NOW | RTLD_NOLOAD)) {
+    if (auto set = reinterpret_cast<Setter>(
+            ::dlsym(ubsan, "__sanitizer_set_death_callback"))) {
+      set(save_current_input);
+    }
+  }
+}
 
 void run_one(const Input& input) {
-  // Persist before executing: if the target aborts, the bytes survive.
-  if (!g_last_input_path.empty()) {
-    std::ofstream out(g_last_input_path, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(input.data()),
-              static_cast<std::streamsize>(input.size()));
-  }
+  g_current = &input;
   LLVMFuzzerTestOneInput(input.data(), input.size());
+  g_current = nullptr;
 }
 
 Input mutate(const Input& base, Rng& rng) {
@@ -132,7 +176,9 @@ Input mutate(const Input& base, Rng& rng) {
       }
     }
   }
-  if (out.size() > (1 << 16)) out.resize(1 << 16);
+  // The harnesses ignore inputs over 1 MiB; stay just under that so a
+  // large seed (a whole cache entry or checkpoint) keeps its tail.
+  if (out.size() > (1 << 20)) out.resize(1 << 20);
   return out;
 }
 
@@ -162,6 +208,12 @@ int main(int argc, char** argv) {
   }
 
   g_last_input_path = std::string(argv[0]) + "-last-input.bin";
+  std::remove(g_last_input_path.c_str());  // the file belongs to this run
+  register_death_callback();
+  std::set_terminate([] {
+    save_current_input();
+    std::abort();
+  });
 
   std::vector<Input> corpus;
   for (const auto& p : paths) {
@@ -179,18 +231,18 @@ int main(int argc, char** argv) {
 
   std::uint64_t executed = 0;
   if (time_budget_s > 0.0) {
+    using Clock = std::chrono::steady_clock;
     Rng rng{seed};
-    const std::clock_t start = std::clock();
-    const double budget_clocks = time_budget_s * CLOCKS_PER_SEC;
-    while (static_cast<double>(std::clock() - start) < budget_clocks) {
+    const Clock::time_point start = Clock::now();
+    const auto budget = std::chrono::duration<double>(time_budget_s);
+    while (Clock::now() - start < budget) {
       const Input& base = corpus[rng.below(corpus.size())];
       run_one(mutate(base, rng));
       ++executed;
     }
     std::fprintf(stderr, "executed %llu mutated input(s) in %.1fs\n",
-                 static_cast<unsigned long long>(executed), time_budget_s);
+                 static_cast<unsigned long long>(executed),
+                 std::chrono::duration<double>(Clock::now() - start).count());
   }
-
-  std::remove(g_last_input_path.c_str());
   return 0;
 }

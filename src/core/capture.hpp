@@ -84,15 +84,16 @@ struct Capture {
   static constexpr std::uint16_t kBinaryVersion = 1;
   [[nodiscard]] std::vector<std::uint8_t> to_binary() const;
   /// Decodes to_binary() output.  Throws offramps::Error on a bad magic,
-  /// an unknown version, or a buffer shorter than its length prefixes
-  /// promise (truncated file).
+  /// an unknown version, a buffer shorter than its length prefixes
+  /// promise (truncated file), or bytes left after the final counts.
   static Capture from_binary(const std::uint8_t* data, std::size_t size);
   static Capture from_binary(const std::vector<std::uint8_t>& bytes) {
     return from_binary(bytes.data(), bytes.size());
   }
 
-  /// File round trip via to_binary()/from_binary().  Throws
-  /// offramps::Error on I/O failure.
+  /// File round trip via to_binary()/from_binary(); the save goes
+  /// through codec::atomic_write_file.  Throws offramps::Error on I/O
+  /// failure.
   void save_binary(const std::string& path) const;
   static Capture load_binary(const std::string& path);
 };

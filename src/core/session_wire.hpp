@@ -21,13 +21,13 @@
 //   kEnd     session epilogue: rig-level facts the capture alone cannot
 //            carry (print_finished, safe_stopped, sim_seconds, counts)
 //
-// Everything is little endian.  The reader is bounded (every length is
-// validated against a per-type cap before allocation) and incremental: a
-// corrupted frame header makes it hunt for the next magic instead of
-// dying, mirroring the UART receiver's own resync behavior, and the skip
-// is counted so a session that needed resyncs can be reported as
-// "recovered" rather than silently clean.  A stream that ends before
-// kEnd is a mid-stream disconnect.
+// Everything is little endian, encoded with sim/codec.hpp.  The reader
+// is bounded (every length is validated against a per-type cap before
+// allocation) and incremental: a corrupted frame header makes it hunt
+// for the next magic instead of dying, mirroring the UART receiver's own
+// resync behavior, and the skip is counted so a session that needed
+// resyncs can be reported as "recovered" rather than silently clean.  A
+// stream that ends before kEnd is a mid-stream disconnect.
 #pragma once
 
 #include <array>
@@ -105,9 +105,9 @@ void append_slot(std::vector<std::uint8_t>& out);
 void append_finish(std::vector<std::uint8_t>& out, const Capture& capture);
 void append_end(std::vector<std::uint8_t>& out, const SessionMeta& meta);
 
-/// Accumulates one session's event stream in order and persists it with
-/// the repo's usual write-to-temp + atomic-rename discipline.  Throws
-/// offramps::Error on I/O failure.
+/// Accumulates one session's event stream in order and persists it
+/// through codec::atomic_write_file.  Throws offramps::Error on I/O
+/// failure.
 class SessionRecorder {
  public:
   SessionRecorder() { append_stream_header(bytes_); }

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
+#include <iterator>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,114 +15,7 @@ namespace offramps::svc {
 
 namespace {
 
-// ---------------------------------------------------------------- writer
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_i64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-// ---------------------------------------------------------------- reader
-
-/// Bounded little-endian reader: every read is preceded by need(), and
-/// every count is checked against the bytes actually left, so a lying
-/// length prefix fails *before* any allocation (same discipline as
-/// core::Capture::from_binary).
-struct Rd {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  [[nodiscard]] std::size_t remaining() const { return size - pos; }
-
-  void need(std::size_t n, const char* what) const {
-    if (remaining() < n) {
-      throw Error(std::string("checkpoint: truncated input reading ") + what);
-    }
-  }
-
-  std::uint8_t u8(const char* what) {
-    need(1, what);
-    return data[pos++];
-  }
-
-  std::uint16_t u16(const char* what) {
-    need(2, what);
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) {
-      v |= static_cast<std::uint16_t>(data[pos++]) << (8 * i);
-    }
-    return v;
-  }
-
-  std::uint32_t u32(const char* what) {
-    need(4, what);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-    }
-    return v;
-  }
-
-  std::uint64_t u64(const char* what) {
-    need(8, what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
-    }
-    return v;
-  }
-
-  std::int64_t i64(const char* what) {
-    return static_cast<std::int64_t>(u64(what));
-  }
-
-  double f64(const char* what) {
-    const std::uint64_t bits = u64(what);
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-
-  std::string str(const char* what) {
-    const std::uint32_t n = u32(what);
-    need(n, what);
-    std::string s(reinterpret_cast<const char*>(data + pos), n);
-    pos += n;
-    return s;
-  }
-};
+constexpr std::uint8_t kMagic[4] = {'O', 'F', 'C', 'K'};
 
 template <typename Enum>
 Enum checked_enum(std::uint8_t raw, std::uint8_t max, const char* what) {
@@ -135,69 +28,69 @@ Enum checked_enum(std::uint8_t raw, std::uint8_t max, const char* what) {
 
 // ------------------------------------------------------- outcome records
 
-void put_outcome(std::vector<std::uint8_t>& out, const RigOutcome& r) {
-  put_str(out, r.spec.name);
-  put_u64(out, r.spec.seed);
-  put_f64(out, r.spec.cube_mm);
-  put_f64(out, r.spec.height_mm);
-  put_u8(out, static_cast<std::uint8_t>(r.spec.sabotage.kind));
-  put_f64(out, r.spec.sabotage.factor);
-  put_u32(out, r.spec.sabotage.every_n);
-  put_u8(out, static_cast<std::uint8_t>(r.spec.chaos.kind));
-  put_u32(out, r.spec.chaos.fires_for);
-  put_f64(out, r.spec.chaos.crash_at_s);
-  put_u32(out, r.spec.chaos.after);
+void put_outcome(codec::Writer& w, const RigOutcome& r) {
+  w.str(r.spec.name);
+  w.u64(r.spec.seed);
+  w.f64(r.spec.cube_mm);
+  w.f64(r.spec.height_mm);
+  w.u8(static_cast<std::uint8_t>(r.spec.sabotage.kind));
+  w.f64(r.spec.sabotage.factor);
+  w.u32(r.spec.sabotage.every_n);
+  w.u8(static_cast<std::uint8_t>(r.spec.chaos.kind));
+  w.u32(r.spec.chaos.fires_for);
+  w.f64(r.spec.chaos.crash_at_s);
+  w.u32(r.spec.chaos.after);
 
-  put_u8(out, static_cast<std::uint8_t>(r.status));
-  put_u32(out, r.attempts);
-  put_str(out, r.failure_cause);
+  w.u8(static_cast<std::uint8_t>(r.status));
+  w.u32(r.attempts);
+  w.str(r.failure_cause);
 
-  put_u8(out, r.print_finished ? 1 : 0);
-  put_u8(out, r.safe_stopped ? 1 : 0);
-  put_str(out, r.kill_reason);
-  put_f64(out, r.sim_seconds);
-  for (const std::int64_t c : r.final_counts) put_i64(out, c);
+  w.u8(r.print_finished ? 1 : 0);
+  w.u8(r.safe_stopped ? 1 : 0);
+  w.str(r.kill_reason);
+  w.f64(r.sim_seconds);
+  for (const std::int64_t c : r.final_counts) w.i64(c);
 
   const OnlineReport& d = r.detector;
-  put_u8(out, d.alarmed ? 1 : 0);
-  put_u8(out, d.alarmed_mid_print ? 1 : 0);
-  put_u8(out, static_cast<std::uint8_t>(d.first_channel));
-  put_u32(out, d.alarm_window);
-  put_u64(out, d.alarm_tick_ns);
-  put_u64(out, d.alarm_gcode_line);
-  put_u64(out, d.windows_processed);
-  put_u64(out, d.ring_high_water);
-  put_u64(out, d.backpressure_stalls);
-  put_u8(out, d.stream_finished ? 1 : 0);
-  put_u64(out, d.compare_mismatches);
+  w.u8(d.alarmed ? 1 : 0);
+  w.u8(d.alarmed_mid_print ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(d.first_channel));
+  w.u32(d.alarm_window);
+  w.u64(d.alarm_tick_ns);
+  w.u64(d.alarm_gcode_line);
+  w.u64(d.windows_processed);
+  w.u64(d.ring_high_water);
+  w.u64(d.backpressure_stalls);
+  w.u8(d.stream_finished ? 1 : 0);
+  w.u64(d.compare_mismatches);
   // Nested channel reports are persisted as *counts*: to_json only ever
   // renders sizes of these vectors, so resume rebuilds them as
   // default-constructed entries of the right count and the report stays
   // byte for byte.
-  put_u64(out, d.golden_free.violations.size());
-  put_u64(out, d.power.windows_compared);
-  put_u64(out, d.power.mismatches.size());
-  put_u64(out, d.acoustic.windows_compared);
-  put_u64(out, d.acoustic.mismatches.size());
-  put_u64(out, d.vibration.windows_compared);
-  put_u64(out, d.vibration.mismatches.size());
-  put_u8(out, d.final_counts_match ? 1 : 0);
-  put_u8(out, d.static_final.trojan_suspected ? 1 : 0);
+  w.u64(d.golden_free.violations.size());
+  w.u64(d.power.windows_compared);
+  w.u64(d.power.mismatches.size());
+  w.u64(d.acoustic.windows_compared);
+  w.u64(d.acoustic.mismatches.size());
+  w.u64(d.vibration.windows_compared);
+  w.u64(d.vibration.mismatches.size());
+  w.u8(d.final_counts_match ? 1 : 0);
+  w.u8(d.static_final.trojan_suspected ? 1 : 0);
 
   // Per-channel verdict rows: the report's attribution array renders
   // every field, so they are persisted whole, not as counts.
-  put_u8(out, static_cast<std::uint8_t>(d.channels.size()));
+  w.u8(static_cast<std::uint8_t>(d.channels.size()));
   for (const ChannelVerdict& v : d.channels) {
-    put_u8(out, static_cast<std::uint8_t>(v.channel));
-    put_u8(out, v.armed ? 1 : 0);
-    put_u8(out, v.tripped ? 1 : 0);
-    put_u32(out, v.trip_window);
-    put_u64(out, v.windows_compared);
-    put_u64(out, v.mismatches);
+    w.u8(static_cast<std::uint8_t>(v.channel));
+    w.u8(v.armed ? 1 : 0);
+    w.u8(v.tripped ? 1 : 0);
+    w.u32(v.trip_window);
+    w.u64(v.windows_compared);
+    w.u64(v.mismatches);
   }
 }
 
-RigOutcome read_outcome(Rd& r) {
+RigOutcome read_outcome(codec::Reader& r) {
   RigOutcome out;
   out.spec.name = r.str("rig name");
   out.spec.seed = r.u64("rig seed");
@@ -247,7 +140,7 @@ RigOutcome read_outcome(Rd& r) {
   const std::uint64_t am = r.u64("acoustic mismatch count");
   const std::uint64_t vw = r.u64("vibration windows compared");
   const std::uint64_t vm = r.u64("vibration mismatch count");
-  if (gf > r.size || pm > r.size || am > r.size || vm > r.size) {
+  if (gf > r.size() || pm > r.size() || am > r.size() || vm > r.size()) {
     throw Error("checkpoint: nested report count exceeds input size");
   }
   d.golden_free.violations.resize(static_cast<std::size_t>(gf));
@@ -282,56 +175,32 @@ RigOutcome read_outcome(Rd& r) {
 std::vector<std::uint8_t> Checkpoint::to_binary() const {
   std::vector<std::uint8_t> out;
   out.reserve(1024);
-  out.push_back('O');
-  out.push_back('F');
-  out.push_back('C');
-  out.push_back('K');
-  put_u16(out, kVersion);
-  put_u16(out, 0);  // reserved
-  put_u64(out, spec_digest);
-  put_u32(out, total_rigs);
-
-  put_u32(out, static_cast<std::uint32_t>(references.size()));
-  for (const ReferenceSnapshot& ref : references) {
-    const std::vector<std::uint8_t> blob = ref.golden.to_binary();
-    put_u64(out, blob.size());
-    out.insert(out.end(), blob.begin(), blob.end());
-    put_u64(out, ref.golden_power.size());
-    for (const plant::PowerSample& s : ref.golden_power) {
-      put_f64(out, s.t_s);
-      put_f64(out, s.watts);
-    }
-    for (const plant::SideTrace* trace :
-         {&ref.golden_acoustic, &ref.golden_vibration}) {
-      put_u64(out, trace->size());
-      for (const plant::SideSample& s : *trace) {
-        put_f64(out, s.t_s);
-        put_f64(out, s.value);
-      }
-    }
-  }
-
-  put_u32(out, static_cast<std::uint32_t>(done.size()));
+  codec::Writer w(out);
+  w.bytes(kMagic, sizeof(kMagic));
+  w.u16(kVersion);
+  w.u16(0);  // reserved
+  w.u64(spec_digest);
+  w.u32(total_rigs);
+  w.u32(static_cast<std::uint32_t>(references.size()));
+  for (const RefEntry& ref : references) encode_reference(w, ref);
+  w.u32(static_cast<std::uint32_t>(done.size()));
   for (const auto& [index, outcome] : done) {
-    put_u32(out, index);
-    put_outcome(out, outcome);
+    w.u32(index);
+    put_outcome(w, outcome);
   }
   return out;
 }
 
 Checkpoint Checkpoint::from_binary(const std::uint8_t* data,
                                    std::size_t size) {
-  Rd r{data, size};
-  r.need(4, "magic");
-  if (std::memcmp(data, "OFCK", 4) != 0) {
-    throw Error("checkpoint: bad magic (not an OFCK checkpoint)");
+  codec::Reader r(data, size, "checkpoint");
+  if (std::memcmp(r.bytes(4, "magic"), kMagic, 4) != 0) {
+    r.fail("bad magic (not an OFCK checkpoint)");
   }
-  r.pos = 4;
   const std::uint16_t version = r.u16("version");
   if (version != kVersion) {
-    throw Error("checkpoint: unsupported format version " +
-                std::to_string(version) + " (this build reads version " +
-                std::to_string(kVersion) + ")");
+    r.fail("unsupported format version " + std::to_string(version) +
+           " (this build reads version " + std::to_string(kVersion) + ")");
   }
   (void)r.u16("reserved");
 
@@ -339,56 +208,27 @@ Checkpoint Checkpoint::from_binary(const std::uint8_t* data,
   ck.spec_digest = r.u64("spec digest");
   ck.total_rigs = r.u32("total rigs");
 
-  const std::uint32_t n_refs = r.u32("reference count");
-  // Each reference costs at least 16 bytes on the wire.
-  if (n_refs > r.remaining() / 16) {
-    throw Error("checkpoint: reference count exceeds input size");
-  }
-  ck.references.resize(n_refs);
-  for (ReferenceSnapshot& ref : ck.references) {
-    const std::uint64_t blob_len = r.u64("golden capture length");
-    r.need(blob_len, "golden capture");
-    ref.golden = core::Capture::from_binary(data + r.pos,
-                                            static_cast<std::size_t>(blob_len));
-    r.pos += static_cast<std::size_t>(blob_len);
-    const std::uint64_t n_samples = r.u64("power sample count");
-    if (n_samples > r.remaining() / 16) {
-      throw Error("checkpoint: power sample count exceeds remaining input");
-    }
-    ref.golden_power.resize(static_cast<std::size_t>(n_samples));
-    for (plant::PowerSample& s : ref.golden_power) {
-      s.t_s = r.f64("power sample time");
-      s.watts = r.f64("power sample watts");
-    }
-    for (plant::SideTrace* trace :
-         {&ref.golden_acoustic, &ref.golden_vibration}) {
-      const std::uint64_t n_side = r.u64("side sample count");
-      if (n_side > r.remaining() / 16) {
-        throw Error("checkpoint: side sample count exceeds remaining input");
-      }
-      trace->resize(static_cast<std::size_t>(n_side));
-      for (plant::SideSample& s : *trace) {
-        s.t_s = r.f64("side sample time");
-        s.value = r.f64("side sample value");
-      }
-    }
+  // A reference record is at least its four u64 length prefixes.
+  const std::size_t n_refs =
+      r.count(r.u32("reference count"), 32, "reference count");
+  ck.references.reserve(n_refs);
+  for (std::size_t i = 0; i < n_refs; ++i) {
+    ck.references.push_back(decode_reference(r));
   }
 
   const std::uint32_t n_done = r.u32("completed rig count");
   if (n_done > ck.total_rigs) {
-    throw Error("checkpoint: more completed rigs than the campaign has");
+    r.fail("more completed rigs than the campaign has");
   }
   ck.done.reserve(n_done);
   for (std::uint32_t i = 0; i < n_done; ++i) {
     const std::uint32_t index = r.u32("rig index");
     if (index >= ck.total_rigs) {
-      throw Error("checkpoint: completed rig index out of range");
+      r.fail("completed rig index out of range");
     }
     ck.done.emplace_back(index, read_outcome(r));
   }
-  if (r.remaining() != 0) {
-    throw Error("checkpoint: trailing bytes after the last record");
-  }
+  r.expect_end();
   std::sort(ck.done.begin(), ck.done.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return ck;
@@ -397,21 +237,7 @@ Checkpoint Checkpoint::from_binary(const std::uint8_t* data,
 void Checkpoint::save(const std::string& path) const {
   const obs::Span span("checkpoint/save", "fleet");
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<std::uint8_t> bytes = to_binary();
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("checkpoint: cannot open for writing: " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) throw Error("checkpoint: short write: " + tmp);
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    throw Error("checkpoint: atomic rename failed: " + tmp + " -> " + path +
-                ": " + ec.message());
-  }
+  codec::atomic_write_file(path, to_binary());
 #if OFFRAMPS_OBS_ENABLED
   if (obs::enabled()) {
     static obs::Counter& saves =
@@ -435,37 +261,9 @@ Checkpoint Checkpoint::load(const std::string& path) {
   return from_binary(bytes);
 }
 
-namespace {
-
-/// FNV-1a 64, fed field by field (doubles by bit pattern, so the digest
-/// is exact, not format-dependent).
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
-
-}  // namespace
-
 std::uint64_t campaign_digest(const std::vector<RigSpec>& specs,
                               const FleetOptions& options) {
-  Fnv f;
+  codec::Fnv1a f;
   f.str("offramps-campaign-v2");
   // Behavior-relevant options.  Workers, checkpoint paths, stop_after and
   // save_captures_dir are excluded: they never change the report bytes.
@@ -514,7 +312,7 @@ std::uint64_t campaign_digest(const std::vector<RigSpec>& specs,
     f.str(s.sabotage.to_string());
     f.str(s.chaos.to_string());
   }
-  return f.h;
+  return f.digest();
 }
 
 }  // namespace offramps::svc

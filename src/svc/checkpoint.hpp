@@ -13,23 +13,22 @@
 //   - every completed rig's flattened RigOutcome, so resumed campaigns
 //     skip those rigs entirely and still render the same report bytes.
 //
-// Binary format v2 (all little endian):
+// Binary format v2 (all little endian, encoded with sim/codec.hpp):
 //   "OFCK" magic, u16 version, u16 reserved,
 //   u64 spec digest, u32 total rigs,
-//   u32 reference count, then per reference:
-//     u64 blob length + core::Capture::to_binary() bytes,
-//     u64 power sample count + per sample 2 x f64-as-u64-bits (t_s, watts),
-//     u64 acoustic sample count + samples, u64 vibration count + samples,
+//   u32 reference count, then per reference the record a reference-cache
+//     entry carries (svc::encode_reference: capture blob, power, acoustic
+//     and vibration traces),
 //   u32 completed count, then per completed rig a flattened outcome
 //   record (rig index, spec, supervision verdict, detector summary
 //   including the per-channel verdict rows the report's attribution
 //   array renders).
 // Length prefixes are validated against the remaining input before any
-// allocation - the same bounded-read discipline as Capture::from_binary.
+// allocation, and trailing bytes are rejected.
 //
-// Writes go to "<path>.tmp" then std::filesystem::rename, which POSIX
-// makes atomic within a filesystem: a reader (or a resumed process)
-// never observes a half-written checkpoint, only the old or the new one.
+// Saves go through codec::atomic_write_file (unique temp name, fsync,
+// rename): a reader (or a resumed process) never observes a half-written
+// checkpoint, only the old or the new one.
 #pragma once
 
 #include <cstdint>
@@ -38,17 +37,9 @@
 #include <vector>
 
 #include "svc/fleet.hpp"
+#include "svc/ref_cache.hpp"
 
 namespace offramps::svc {
-
-/// One object's golden reference, as persisted (the sliced program and
-/// oracle are recomputed deterministically from the spec on resume).
-struct ReferenceSnapshot {
-  core::Capture golden;
-  plant::PowerTrace golden_power;
-  plant::SideTrace golden_acoustic;
-  plant::SideTrace golden_vibration;
-};
 
 /// The persistent campaign state.
 struct Checkpoint {
@@ -58,21 +49,23 @@ struct Checkpoint {
   /// Rig count of the whole campaign (so a resume can tell "done" from
   /// "everything").
   std::uint32_t total_rigs = 0;
-  /// Per-object references, indexed like the fleet's first-seen object
-  /// order.
-  std::vector<ReferenceSnapshot> references;
+  /// Per-object golden references, indexed like the fleet's first-seen
+  /// object order (the sliced program and oracle are recomputed
+  /// deterministically from the spec on resume).
+  std::vector<RefEntry> references;
   /// Completed rigs: (spec index, outcome), sorted by spec index.
   std::vector<std::pair<std::uint32_t, RigOutcome>> done;
 
   [[nodiscard]] std::vector<std::uint8_t> to_binary() const;
-  /// Throws offramps::Error on bad magic, unknown version, or any length
-  /// prefix that exceeds the remaining input (truncated / corrupt file).
+  /// Throws offramps::Error on bad magic, unknown version, any length
+  /// prefix that exceeds the remaining input (truncated / corrupt file),
+  /// or trailing bytes.
   static Checkpoint from_binary(const std::uint8_t* data, std::size_t size);
   static Checkpoint from_binary(const std::vector<std::uint8_t>& bytes) {
     return from_binary(bytes.data(), bytes.size());
   }
 
-  /// Atomic persist: write "<path>.tmp", fsync-free rename over `path`.
+  /// Atomic persist via codec::atomic_write_file.
   void save(const std::string& path) const;
   static Checkpoint load(const std::string& path);
 };

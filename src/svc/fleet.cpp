@@ -14,6 +14,7 @@
 #include "host/rig.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/codec.hpp"
 #include "sim/error.hpp"
 #include "core/session_wire.hpp"
 #include "svc/checkpoint.hpp"
@@ -107,15 +108,6 @@ void append_kv(std::string& out, const char* key, bool v) {
   out += v ? "true" : "false";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// A file-name-safe rendition of a rig name.
 std::string sanitize(const std::string& name) {
   std::string out;
@@ -165,12 +157,14 @@ std::string FleetReport::to_json() const {
   for (std::size_t i = 0; i < rigs.size(); ++i) {
     const RigOutcome& r = rigs[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\n";
+    // Names come from specs, hello frames and file names: append them
+    // through the escaper, never through a fixed snprintf buffer.
+    out += "    {\n      \"name\": \"";
+    out += codec::json_escape(r.spec.name);
     std::snprintf(buf, sizeof(buf),
-                  "      \"name\": \"%s\",\n      \"seed\": %llu,\n"
+                  "\",\n      \"seed\": %llu,\n"
                   "      \"cube_mm\": %.6f,\n      \"height_mm\": %.6f,\n"
                   "      \"sabotage\": \"%s\",\n",
-                  json_escape(r.spec.name).c_str(),
                   static_cast<unsigned long long>(r.spec.seed),
                   r.spec.cube_mm, r.spec.height_mm,
                   r.spec.sabotage.to_string().c_str());
@@ -185,7 +179,7 @@ std::string FleetReport::to_json() const {
     // failure_cause carries arbitrary exception text - append it through
     // the escaper, never through a fixed snprintf buffer.
     out += "      \"failure_cause\": \"";
-    out += json_escape(r.failure_cause);
+    out += codec::json_escape(r.failure_cause);
     out += "\",\n";
     out += "      ";
     append_kv(out, "alarmed", r.detector.alarmed);
@@ -285,7 +279,7 @@ std::string FleetReport::metrics_json() const {
   for (std::size_t i = 0; i < timings.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
     out += "      \"";
-    out += json_escape(timings[i].name);
+    out += codec::json_escape(timings[i].name);
     std::snprintf(buf, sizeof(buf), "\": %.6f", timings[i].seconds);
     out += buf;
   }
@@ -417,7 +411,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   // edited specs or options would silently skew results.
   std::vector<char> already_done(fleet.size(), 0);
   std::vector<RigOutcome> prior(fleet.size());
-  std::vector<ReferenceSnapshot> ref_snapshots(objects.size());
+  std::vector<RefEntry> ref_snapshots(objects.size());
   std::vector<char> have_snapshot(objects.size(), 0);
   if (!options_.resume_path.empty()) {
     Checkpoint ck = Checkpoint::load(options_.resume_path);
@@ -582,9 +576,8 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     for (std::size_t j = 0; j < objects.size(); ++j) {
       if (ref_guards[j].status == RigStatus::kLost) continue;
       ck_out.references[j] =
-          ReferenceSnapshot{refs[j].golden, refs[j].golden_power,
-                            refs[j].golden_acoustic,
-                            refs[j].golden_vibration};
+          RefEntry{refs[j].golden, refs[j].golden_power,
+                   refs[j].golden_acoustic, refs[j].golden_vibration};
     }
     for (std::size_t i = 0; i < fleet.size(); ++i) {
       if (already_done[i]) {

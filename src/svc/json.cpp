@@ -186,7 +186,7 @@ class Parser {
           case 'n': out += '\n'; break;
           case 'r': out += '\r'; break;
           case 't': out += '\t'; break;
-          case 'u': fail("\\u escapes are not supported");
+          case 'u': out += parse_control_escape(); break;
           default: fail("bad escape");
         }
         continue;
@@ -196,6 +196,21 @@ class Parser {
       }
       out += c;
     }
+  }
+
+  /// The four hex digits after "\u".  Only control characters decode:
+  /// they are what the report writers escape this way.
+  char parse_control_escape() {
+    if (text_.size() - pos_ < 4) fail("unterminated escape");
+    unsigned code = 0;
+    const char* hex = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(hex, hex + 4, code, 16);
+    if (ec != std::errc{} || ptr != hex + 4) fail("bad \\u escape");
+    if (code >= 0x20) {
+      fail("\\u escapes other than control characters are not supported");
+    }
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   Value parse_number() {

@@ -4,7 +4,9 @@
 // self-contained parser for it (the repository's JSON *writers* stay
 // hand-rolled snprintf renderers - only configuration input needs a
 // reader).  Full JSON value model, recursive descent, UTF-8 passed
-// through verbatim, \uXXXX escapes rejected rather than mis-decoded.
+// through verbatim.  Of the \uXXXX escapes only \u0000-\u001f (the
+// control characters codec::json_escape writes) are decoded; the rest
+// are rejected rather than mis-decoded.
 // Throws offramps::Error with a byte offset on malformed input.
 #pragma once
 

@@ -1,9 +1,6 @@
 #include "svc/ref_cache.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,82 +16,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr std::array<char, 4> kMagic{'O', 'F', 'R', 'F'};
-
-struct Fnv {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void bytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
-  void f64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-  void str(const std::string& s) {
-    u64(s.size());
-    bytes(s.data(), s.size());
-  }
-};
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
-
-/// Bounded reader over one cache record.
-struct Rd {
-  const std::uint8_t* data;
-  std::size_t size;
-  std::size_t pos = 0;
-
-  void need(std::size_t n) const {
-    if (size - pos < n) {
-      throw Error("RefCache: truncated entry (need " + std::to_string(n) +
-                  " bytes, have " + std::to_string(size - pos) + ")");
-    }
-  }
-  [[nodiscard]] std::size_t remaining() const { return size - pos; }
-
-  std::uint16_t u16() {
-    need(2);
-    const std::uint16_t v =
-        static_cast<std::uint16_t>(data[pos] | (data[pos + 1] << 8));
-    pos += 2;
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | data[pos + i];
-    pos += 8;
-    return v;
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-};
+constexpr std::array<std::uint8_t, 4> kMagic{'O', 'F', 'R', 'F'};
 
 /// obs counters, registered eagerly at cache construction when metrics
 /// are on so a fully-warm campaign still exports "svc.cache.miss": 0.
@@ -120,7 +42,7 @@ std::uint64_t reference_digest(double cube_mm, double height_mm,
                                const host::SliceProfile& p,
                                std::uint64_t reference_seed,
                                const ChannelSet& channels) {
-  Fnv f;
+  codec::Fnv1a f;
   f.str("offramps-reference-v2");
   f.f64(cube_mm);
   f.f64(height_mm);
@@ -150,7 +72,52 @@ std::uint64_t reference_digest(double cube_mm, double height_mm,
   f.f64(p.prime_e_mm);
   f.u64(static_cast<std::uint64_t>(p.skirt_loops));
   f.f64(p.skirt_gap_mm);
-  return f.h;
+  return f.digest();
+}
+
+void encode_reference(codec::Writer& w, const RefEntry& ref) {
+  const std::vector<std::uint8_t> blob = ref.golden.to_binary();
+  w.u64(blob.size());
+  w.bytes(blob.data(), blob.size());
+  w.u64(ref.golden_power.size());
+  for (const plant::PowerSample& s : ref.golden_power) {
+    w.f64(s.t_s);
+    w.f64(s.watts);
+  }
+  for (const plant::SideTrace* trace :
+       {&ref.golden_acoustic, &ref.golden_vibration}) {
+    w.u64(trace->size());
+    for (const plant::SideSample& s : *trace) {
+      w.f64(s.t_s);
+      w.f64(s.value);
+    }
+  }
+}
+
+RefEntry decode_reference(codec::Reader& r) {
+  RefEntry ref;
+  const std::uint64_t blob_len = r.u64("golden capture length");
+  const std::uint8_t* blob = r.bytes(blob_len, "golden capture");
+  ref.golden =
+      core::Capture::from_binary(blob, static_cast<std::size_t>(blob_len));
+  // Each sample is 16 bytes; count() checks the aggregate before the
+  // resize, so a lying count cannot allocate gigabytes.
+  ref.golden_power.resize(
+      r.count(r.u64("power sample count"), 16, "power sample count"));
+  for (plant::PowerSample& s : ref.golden_power) {
+    s.t_s = r.f64("power sample time");
+    s.watts = r.f64("power sample watts");
+  }
+  for (plant::SideTrace* trace :
+       {&ref.golden_acoustic, &ref.golden_vibration}) {
+    trace->resize(r.count(r.u64("side sample count"), 16,
+                          "side sample count"));
+    for (plant::SideSample& s : *trace) {
+      s.t_s = r.f64("side sample time");
+      s.value = r.f64("side sample value");
+    }
+  }
+  return ref;
 }
 
 RefCache::RefCache(RefCacheOptions options) : options_(std::move(options)) {
@@ -174,86 +141,36 @@ std::string RefCache::path_for(std::uint64_t key) const {
 
 std::vector<std::uint8_t> RefCache::encode_entry(std::uint64_t key,
                                                  const RefEntry& entry) {
-  const auto blob = entry.golden.to_binary();
   std::vector<std::uint8_t> out;
-  out.reserve(48 + blob.size() + 16 * entry.golden_power.size() +
+  out.reserve(48 + 28 * entry.golden.size() +
+              16 * entry.golden_power.size() +
               16 * entry.golden_acoustic.size() +
               16 * entry.golden_vibration.size());
-  for (const char c : kMagic) out.push_back(static_cast<std::uint8_t>(c));
-  put_u16(out, kVersion);
-  put_u16(out, 0);  // reserved
-  put_u64(out, key);
-  put_u64(out, blob.size());
-  out.insert(out.end(), blob.begin(), blob.end());
-  put_u64(out, entry.golden_power.size());
-  for (const auto& s : entry.golden_power) {
-    put_f64(out, s.t_s);
-    put_f64(out, s.watts);
-  }
-  for (const auto* trace : {&entry.golden_acoustic, &entry.golden_vibration}) {
-    put_u64(out, trace->size());
-    for (const auto& s : *trace) {
-      put_f64(out, s.t_s);
-      put_f64(out, s.value);
-    }
-  }
+  codec::Writer w(out);
+  w.bytes(kMagic.data(), kMagic.size());
+  w.u16(kVersion);
+  w.u16(0);  // reserved
+  w.u64(key);
+  encode_reference(w, entry);
   return out;
 }
 
 RefEntry RefCache::decode_entry(const std::uint8_t* data, std::size_t size,
                                 std::uint64_t expect_key) {
-  Rd r{data, size};
-  r.need(4);
-  if (std::memcmp(data, kMagic.data(), 4) != 0) {
-    throw Error("RefCache: bad magic (not a reference cache entry)");
+  codec::Reader r(data, size, "RefCache");
+  if (std::memcmp(r.bytes(4, "magic"), kMagic.data(), 4) != 0) {
+    r.fail("bad magic (not a reference cache entry)");
   }
-  r.pos = 4;
-  const std::uint16_t version = r.u16();
+  const std::uint16_t version = r.u16("version");
   if (version != kVersion) {
-    throw Error("RefCache: unsupported entry version " +
-                std::to_string(version));
+    r.fail("unsupported entry version " + std::to_string(version));
   }
-  r.u16();  // reserved
-  const std::uint64_t key = r.u64();
-  if (key != expect_key) {
-    throw Error("RefCache: entry key does not match its address");
+  r.u16("reserved");
+  if (r.u64("key") != expect_key) {
+    r.fail("entry key does not match its address");
   }
-  const std::uint64_t blob_len = r.u64();
-  r.need(blob_len);
-  RefEntry entry;
-  entry.golden = core::Capture::from_binary(data + r.pos,
-                                            static_cast<std::size_t>(blob_len));
-  r.pos += static_cast<std::size_t>(blob_len);
-  const std::uint64_t samples = r.u64();
-  // Each sample is 16 bytes; checking the aggregate before reserving
-  // keeps a lying count from allocating gigabytes.
-  if (samples > r.remaining() / 16) {
-    throw Error("RefCache: truncated entry (power sample count lies)");
-  }
-  entry.golden_power.reserve(static_cast<std::size_t>(samples));
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    plant::PowerSample s;
-    s.t_s = r.f64();
-    s.watts = r.f64();
-    entry.golden_power.push_back(s);
-  }
-  for (plant::SideTrace* trace :
-       {&entry.golden_acoustic, &entry.golden_vibration}) {
-    const std::uint64_t n = r.u64();
-    if (n > r.remaining() / 16) {
-      throw Error("RefCache: truncated entry (side sample count lies)");
-    }
-    trace->reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      plant::SideSample s;
-      s.t_s = r.f64();
-      s.value = r.f64();
-      trace->push_back(s);
-    }
-  }
-  if (r.remaining() != 0) {
-    throw Error("RefCache: trailing bytes after entry");
-  }
+  RefEntry entry = decode_reference(r);
+  r.expect_end();
   return entry;
 }
 
@@ -295,33 +212,13 @@ std::optional<RefEntry> RefCache::get(std::uint64_t key) {
 }
 
 void RefCache::put(std::uint64_t key, const RefEntry& entry) {
-  // Per-writer temp name (pid + process-wide sequence): two processes
-  // sharing the directory must never truncate each other's temp file.
-  // The ".tmp" extension keeps in-flight files out of the budget scan.
-  static std::atomic<std::uint64_t> next_tmp{0};
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::string path = path_for(key);
-  const std::string tmp = path + "." + std::to_string(::getpid()) + "." +
-                          std::to_string(next_tmp.fetch_add(1)) + ".tmp";
+  // atomic_write_file's temp names are unique per process and call, so
+  // processes sharing the directory never truncate each other's temp
+  // file; their ".tmp" extension keeps in-flight files out of the budget
+  // scan.
   const auto bytes = encode_entry(key, entry);
-  std::error_code ec;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw Error("RefCache: cannot open " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.close();
-    if (!out) {
-      fs::remove(tmp, ec);
-      throw Error("RefCache: write failed for " + tmp);
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    const std::string why = ec.message();
-    fs::remove(tmp, ec);
-    throw Error("RefCache: rename to " + path + " failed: " + why);
-  }
+  const std::lock_guard<std::mutex> lock(mu_);
+  codec::atomic_write_file(path_for(key), bytes);
   enforce_budget_locked();
 }
 

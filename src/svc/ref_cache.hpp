@@ -8,9 +8,14 @@
 // inputs, so a farm daemon computes each reference once per content hash
 // and serves it from cache on every later campaign, replay, or session.
 //
-// On-disk record (<dir>/<16-hex-digest>.ref, little endian):
+// On-disk record (<dir>/<16-hex-digest>.ref, little endian, encoded with
+// sim/codec.hpp):
 //
-//   "OFRF" magic, u16 version, u16 reserved, u64 key,
+//   "OFRF" magic, u16 version, u16 reserved, u64 key, reference record
+//
+// where the reference record (encode_reference, shared with the campaign
+// checkpoint) is
+//
 //   u64 capture-blob length + Capture::to_binary bytes,
 //   u64 power-sample count + per sample f64 t_s + f64 watts,
 //   u64 acoustic-sample count + per sample f64 t_s + f64 value,
@@ -21,13 +26,13 @@
 // version skew, or a key that disagrees with the filename all reject the
 // entry, and a rejected or unreadable entry is deleted and treated as a
 // miss - the caller recomputes, the cache never crashes a campaign.
-// Writes go to a temp file and atomically rename into place, so a
-// half-written entry (crash, chaos kCacheTear) can never be read back as
-// truth.  Each put's temp name is unique to the writing process and call,
-// so processes sharing one cache directory never write the same temp
-// file; concurrent puts of one key each rename a whole entry, last wins.  An optional byte budget is enforced LRU by file mtime (get()
-// refreshes an entry's mtime), evicting oldest-first but never the entry
-// just written.
+// Writes go through codec::atomic_write_file (unique temp name, fsync,
+// rename), so a half-written entry (crash, chaos kCacheTear) can never be
+// read back as truth, and processes sharing one cache directory never
+// write the same temp file; concurrent puts of one key each rename a
+// whole entry, last wins.  An optional byte budget is enforced LRU by
+// file mtime (get() refreshes an entry's mtime), evicting oldest-first
+// but never the entry just written.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +44,7 @@
 #include "core/capture.hpp"
 #include "host/slicer.hpp"
 #include "plant/side_channel.hpp"
+#include "sim/codec.hpp"
 #include "svc/channel.hpp"
 
 namespace offramps::svc {
@@ -61,14 +67,21 @@ struct RefCacheOptions {
   std::uint64_t max_bytes = 0;
 };
 
-/// One cached reference: the golden capture plus its side-channel
-/// snapshots (each trace empty when that probe was not attached).
+/// One golden reference: the capture plus its side-channel snapshots
+/// (each trace empty when that probe was not attached).  Cache entries
+/// and campaign checkpoints both persist it.
 struct RefEntry {
   core::Capture golden;
   plant::PowerTrace golden_power;
   plant::SideTrace golden_acoustic;
   plant::SideTrace golden_vibration;
 };
+
+/// The reference record, shared by cache entries and checkpoints.
+/// decode_reference throws offramps::Error (named by the reader's format)
+/// on any malformation.
+void encode_reference(codec::Writer& w, const RefEntry& ref);
+[[nodiscard]] RefEntry decode_reference(codec::Reader& r);
 
 class RefCache {
  public:
@@ -86,8 +99,8 @@ class RefCache {
   /// deleted so they cannot poison later campaigns.  Thread-safe.
   [[nodiscard]] std::optional<RefEntry> get(std::uint64_t key);
 
-  /// Inserts (or overwrites) an entry via write-to-temp + atomic rename,
-  /// then enforces the LRU byte budget.  Thread-safe.
+  /// Inserts (or overwrites) an entry via codec::atomic_write_file, then
+  /// enforces the LRU byte budget.  Thread-safe.
   void put(std::uint64_t key, const RefEntry& entry);
 
   /// Where `key` lives on disk.

@@ -119,6 +119,17 @@ TEST(CaptureBinary, RejectsLyingLabelLength) {
   EXPECT_THROW(Capture::from_binary(bytes), offramps::Error);
 }
 
+TEST(CaptureBinary, RejectsTrailingGarbage) {
+  // A capture ends at its final counts; bytes after them mean the file
+  // is not what its length prefixes say it is.
+  std::vector<std::uint8_t> bytes = sample_capture().to_binary();
+  bytes.push_back(0x00);
+  bytes.push_back(0x7f);
+  EXPECT_THROW(Capture::from_binary(bytes), offramps::Error);
+  bytes.resize(bytes.size() - 2);
+  EXPECT_NO_THROW(Capture::from_binary(bytes));
+}
+
 TEST(CaptureBinary, FileRoundTrip) {
   const Capture cap = sample_capture();
   const std::filesystem::path path =

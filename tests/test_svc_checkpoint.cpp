@@ -20,7 +20,7 @@ using offramps::core::Transaction;
 using offramps::svc::campaign_digest;
 using offramps::svc::Checkpoint;
 using offramps::svc::FleetOptions;
-using offramps::svc::ReferenceSnapshot;
+using offramps::svc::RefEntry;
 using offramps::svc::RigOutcome;
 using offramps::svc::RigSpec;
 using offramps::svc::RigStatus;
@@ -46,7 +46,7 @@ Checkpoint sample_checkpoint() {
   ck.spec_digest = 0xDEADBEEFCAFEF00Dull;
   ck.total_rigs = 3;
 
-  ReferenceSnapshot ref;
+  RefEntry ref;
   ref.golden = small_capture();
   ref.golden_power = {{0.0, 11.5}, {0.1, 12.25}, {0.2, 13.0}};
   ck.references.push_back(std::move(ref));
@@ -169,8 +169,12 @@ TEST(Checkpoint, AtomicSaveAndLoad) {
   const Checkpoint ck = sample_checkpoint();
   ck.save(path);
   EXPECT_TRUE(std::filesystem::exists(path));
-  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"))
-      << "temp file must be renamed away";
+  for (const auto& file : std::filesystem::directory_iterator(dir)) {
+    const std::string name = file.path().filename().string();
+    EXPECT_FALSE(name.rfind("ck-atomic-test.bin.", 0) == 0 &&
+                 file.path().extension() == ".tmp")
+        << "temp file must be renamed away: " << name;
+  }
   const Checkpoint back = Checkpoint::load(path);
   EXPECT_EQ(back.spec_digest, ck.spec_digest);
   ASSERT_EQ(back.done.size(), 1u);

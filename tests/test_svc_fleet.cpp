@@ -14,6 +14,7 @@
 #include "host/chaos.hpp"
 #include "sim/error.hpp"
 #include "svc/fleet.hpp"
+#include "svc/json.hpp"
 
 namespace {
 
@@ -118,6 +119,26 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
   EXPECT_THROW(Fleet::specs_from_json(
                    "{ \"rigs\": [{\"sabotage\": \"bogus\"}] }", options),
                offramps::Error);
+}
+
+TEST(FleetReport, JsonEscapesControlCharactersInNames) {
+  // Rig names reach the report from specs, daemon hello frames and
+  // corpus file names; a control character in one must not make the
+  // report invalid JSON.
+  FleetReport report;
+  report.rigs.resize(2);
+  report.rigs[0].spec.name = "rig\nA\x01\"q\"\\";
+  report.rigs[0].failure_cause = "tab\there\r\x1f";
+  report.rigs[1].spec.name = "plain";
+  const offramps::svc::json::Value doc =
+      offramps::svc::json::parse(report.to_json());
+  const offramps::svc::json::Value* rigs = doc.find("rigs");
+  ASSERT_NE(rigs, nullptr);
+  ASSERT_EQ(rigs->items.size(), 2u);
+  EXPECT_EQ(rigs->items[0].string_or("name", ""), "rig\nA\x01\"q\"\\");
+  EXPECT_EQ(rigs->items[0].string_or("failure_cause", ""),
+            "tab\there\r\x1f");
+  EXPECT_EQ(rigs->items[1].string_or("name", ""), "plain");
 }
 
 TEST(Fleet, DetectsSabotageAndSafeStops) {

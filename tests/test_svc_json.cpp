@@ -66,6 +66,17 @@ TEST(SvcJson, RejectsMalformedInput) {
   EXPECT_THROW(json::parse("\"\\u0041\""), offramps::Error);  // rejected
 }
 
+TEST(SvcJson, DecodesControlCharacterEscapes) {
+  // The report writers escape control characters as \u00XX; the reader
+  // decodes exactly those and still rejects other \u escapes.
+  EXPECT_EQ(json::parse("\"a\\u0001b\\u001F\\u000a\"").string,
+            std::string("a\x01" "b\x1f\n"));
+  EXPECT_EQ(json::parse("\"\\u0000\"").string, std::string(1, '\0'));
+  EXPECT_THROW(json::parse("\"\\u0020\""), offramps::Error);
+  EXPECT_THROW(json::parse("\"\\u00g1\""), offramps::Error);
+  EXPECT_THROW(json::parse("\"\\u00\""), offramps::Error);
+}
+
 TEST(SvcJson, DepthCapAcceptsLimitRejectsBeyond) {
   const auto nested = [](int levels) {
     return std::string(levels, '[') + "1" + std::string(levels, ']');
