@@ -51,8 +51,9 @@ constexpr const char* kUsage =
     "  SPEC.json        fleet spec file ('-' = stdin); see --spec-help\n"
     "  --demo N         built-in demo fleet of N rigs (no spec needed)\n"
     "  --sabotage K     implant Flaw3D Trojans in K of the demo rigs\n"
-    "  --jobs N, -j N   worker threads (default: OFFRAMPS_JOBS or cores;\n"
-    "                   the report is byte-identical at any value)\n"
+    "  --jobs N, -j N   worker threads, at most 1024 (default:\n"
+    "                   OFFRAMPS_JOBS or cores; the report is\n"
+    "                   byte-identical at any value)\n"
     "  --json           print the JSON fleet report on stdout\n"
     "  --out FILE       also write the JSON fleet report to FILE\n"
     "  --captures DIR   persist golden + observed captures (.bin) and\n"
@@ -84,8 +85,8 @@ constexpr const char* kUsage =
     "                   (default 3; 1 = no retry)\n"
     "  --backoff-ms N   base retry backoff (deterministic jitter; 0 =\n"
     "                   no sleeping, the default)\n"
-    "  --checkpoint F   write a resumable campaign checkpoint to F after\n"
-    "                   the reference phase and then per completed rig\n"
+    "  --checkpoint F   write a resumable campaign checkpoint to F as\n"
+    "                   each reference resolves and per completed rig\n"
     "  --checkpoint-every N\n"
     "                   rigs between checkpoint writes (default 1)\n"
     "  --resume F       load checkpoint F and skip its completed rigs\n"
@@ -133,9 +134,12 @@ constexpr const char* kSpecHelp =
     "       | \"powerjam\" | \"ringwedge\" | \"disconnect\" |\n"
     "       \"framecorrupt\" | \"cachetear\", optionally \":<attempts>\"\n";
 
-long parse_count(const char* text, long min_value) {
+long parse_count(const char* text, long min_value,
+                 std::uint64_t max_value = offramps::svc::kMaxSpecCount) {
   const auto v = offramps::core::parse_long(text);
-  if (!v || *v < min_value || *v > 1'000'000) return -1;
+  if (!v || *v < min_value || static_cast<std::uint64_t>(*v) > max_value) {
+    return -1;
+  }
   return static_cast<long>(*v);
 }
 
@@ -282,14 +286,14 @@ int main(int argc, char** argv) {
         }
         options.stop_after = static_cast<std::size_t>(n);
       } else {
-        jobs = parse_count(argv[i], 1);
+        jobs = parse_count(argv[i], 1, offramps::svc::kMaxWorkers);
         if (jobs < 0) {
           std::fprintf(stderr, "bad %s value '%s'\n", arg.c_str(), argv[i]);
           return 2;
         }
       }
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = parse_count(arg.c_str() + 7, 1);
+      jobs = parse_count(arg.c_str() + 7, 1, offramps::svc::kMaxWorkers);
       if (jobs < 0) {
         std::fprintf(stderr, "bad --jobs value '%s'\n", arg.c_str());
         return 2;
@@ -435,16 +439,8 @@ int main(int argc, char** argv) {
   offramps::svc::FleetReport report;
   try {
     if (service_mode) {
-      offramps::svc::ServiceOptions service;
-      service.workers = options.workers;
-      service.detector = options.detector;
-      service.pump = options.pump;
-      service.use_oracle = options.use_oracle;
-      service.channels = options.channels;
-      service.reference_seed = options.reference_seed;
-      service.profile = options.profile;
-      service.cache_dir = options.cache_dir;
-      service.cache_max_bytes = options.cache_max_bytes;
+      // The campaign options a service needs are FleetOptions' base.
+      const offramps::svc::ServiceOptions& service = options;
       if (!replay_dir.empty()) {
         replay_options.service = service;
         report = offramps::svc::replay_corpus(replay_dir, replay_options);

@@ -83,7 +83,7 @@ const ChannelTrip* pick_first_trip(const std::vector<ChannelTrip>& trips) {
   const ChannelTrip* best = nullptr;
   for (const ChannelTrip& trip : trips) {
     // Strictly-earlier window wins; an equal window keeps the earlier
-    // trip (delivery order = channel registration order).
+    // trip (delivery order = channel fusion order).
     if (best == nullptr || trip.window < best->window) best = &trip;
   }
   return best;
@@ -196,6 +196,11 @@ class WindowStream {
 
 /// Common verdict bookkeeping: arm state plus first-trip capture.
 class BuiltinChannel : public DetectionChannel {
+ public:
+  explicit BuiltinChannel(const ChannelInfo& info) : info_(info) {}
+
+  [[nodiscard]] ChannelInfo info() const override { return info_; }
+
  protected:
   void set_armed(bool armed) { verdict_.armed = armed; }
   [[nodiscard]] bool armed() const { return verdict_.armed; }
@@ -221,6 +226,7 @@ class BuiltinChannel : public DetectionChannel {
   }
 
  private:
+  ChannelInfo info_;
   ChannelVerdict verdict_{};
 };
 
@@ -231,15 +237,11 @@ class BuiltinChannel : public DetectionChannel {
 /// section V-C method, via detect::compare_transaction).
 class GoldenCompareChannel final : public BuiltinChannel {
  public:
-  explicit GoldenCompareChannel(const OnlineDetectorOptions& options)
-      : compare_(options.compare),
+  GoldenCompareChannel(const ChannelInfo& info,
+                       const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        compare_(options.compare),
         consecutive_to_alarm_(options.consecutive_to_alarm) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kGoldenCompare, "golden-compare",
-            "windowed step-count compare vs the golden capture",
-            ChannelInfo::Group::kSteps};
-  }
 
   void arm(const ChannelRefs& refs) override {
     golden_ = refs.golden;
@@ -278,15 +280,11 @@ class GoldenCompareChannel final : public BuiltinChannel {
 /// (time noise stretches prints slightly).
 class StreamLengthChannel final : public BuiltinChannel {
  public:
-  explicit StreamLengthChannel(const OnlineDetectorOptions& options)
-      : length_tolerance_(options.compare.length_tolerance),
+  StreamLengthChannel(const ChannelInfo& info,
+                      const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        length_tolerance_(options.compare.length_tolerance),
         slack_windows_(options.length_slack_windows) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kStreamLength, "stream-length",
-            "stream ran measurably longer than the golden print",
-            ChannelInfo::Group::kSteps};
-  }
 
   void arm(const ChannelRefs& refs) override {
     golden_ = refs.golden;
@@ -324,16 +322,12 @@ class StreamLengthChannel final : public BuiltinChannel {
 /// Physical-plausibility rules (no reference needed).
 class GoldenFreeChannel final : public BuiltinChannel {
  public:
-  explicit GoldenFreeChannel(const OnlineDetectorOptions& options)
-      : golden_free_(options.machine),
+  GoldenFreeChannel(const ChannelInfo& info,
+                    const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        golden_free_(options.machine),
         min_violations_(options.golden_free_min_violations) {
     set_armed(true);  // reference-free: always able to judge
-  }
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kGoldenFree, "golden-free",
-            "physical-plausibility rule violations (reference-free)",
-            ChannelInfo::Group::kSteps};
   }
 
   void on_transaction(const core::Transaction& txn, const StreamContext&,
@@ -360,14 +354,10 @@ class GoldenFreeChannel final : public BuiltinChannel {
 /// side-channel baseline class).
 class PowerChannel final : public BuiltinChannel {
  public:
-  explicit PowerChannel(const OnlineDetectorOptions& options)
-      : options_(options.power) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kPower, "power",
-            "per-window mean-power compare vs the golden power trace",
-            ChannelInfo::Group::kPower};
-  }
+  PowerChannel(const ChannelInfo& info,
+               const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        options_(options.power) {}
 
   void arm(const ChannelRefs& refs) override {
     if (refs.golden_power != nullptr) {
@@ -418,14 +408,10 @@ class PowerChannel final : public BuiltinChannel {
 /// is verified window-by-window against its levels.
 class AcousticChannel final : public BuiltinChannel {
  public:
-  explicit AcousticChannel(const OnlineDetectorOptions& options)
-      : options_(options.acoustic) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kAcoustic, "acoustic",
-            "acoustic master-signature verification (audio signing)",
-            ChannelInfo::Group::kAcoustic};
-  }
+  AcousticChannel(const ChannelInfo& info,
+                  const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        options_(options.acoustic) {}
 
   void arm(const ChannelRefs& refs) override {
     if (refs.golden_acoustic != nullptr) {
@@ -479,14 +465,10 @@ class AcousticChannel final : public BuiltinChannel {
 /// Vibration-signature compare against the golden vibration trace.
 class VibrationChannel final : public BuiltinChannel {
  public:
-  explicit VibrationChannel(const OnlineDetectorOptions& options)
-      : options_(options.vibration) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kVibration, "vibration",
-            "per-window vibration compare vs the golden vibration trace",
-            ChannelInfo::Group::kVibration};
-  }
+  VibrationChannel(const ChannelInfo& info,
+                   const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        options_(options.vibration) {}
 
   void arm(const ChannelRefs& refs) override {
     if (refs.golden_vibration != nullptr) {
@@ -524,13 +506,8 @@ class VibrationChannel final : public BuiltinChannel {
 /// by our own safe-stop has nothing comparable to freeze.
 class FinalCountsChannel final : public BuiltinChannel {
  public:
-  explicit FinalCountsChannel(const OnlineDetectorOptions&) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kFinalCounts, "final-counts",
-            "end-of-print 0%-margin golden totals check",
-            ChannelInfo::Group::kSteps};
-  }
+  FinalCountsChannel(const ChannelInfo& info, const OnlineDetectorOptions&)
+      : BuiltinChannel(info) {}
 
   void arm(const ChannelRefs& refs) override {
     golden_ = refs.golden;
@@ -567,14 +544,10 @@ class FinalCountsChannel final : public BuiltinChannel {
 /// Static-oracle cross-check (tight margin, no golden print needed).
 class StaticOracleChannel final : public BuiltinChannel {
  public:
-  explicit StaticOracleChannel(const OnlineDetectorOptions& options)
-      : options_(options.static_check) {}
-
-  [[nodiscard]] ChannelInfo info() const override {
-    return {Channel::kStaticOracle, "static-oracle",
-            "end-of-print static-oracle cross-check",
-            ChannelInfo::Group::kSteps};
-  }
+  StaticOracleChannel(const ChannelInfo& info,
+                      const OnlineDetectorOptions& options)
+      : BuiltinChannel(info),
+        options_(options.static_check) {}
 
   void arm(const ChannelRefs& refs) override {
     oracle_ = refs.oracle;
@@ -607,132 +580,50 @@ class StaticOracleChannel final : public BuiltinChannel {
   detect::StaticCheckReport report_{};
 };
 
-}  // namespace
-
-ChannelRegistry& ChannelRegistry::global() {
-  static ChannelRegistry* registry = [] {
-    auto* r = new ChannelRegistry();
-    detail::register_builtin_channels(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-bool ChannelRegistry::add(ChannelInfo info, ChannelFactory factory) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == info.id) return false;
-  }
-  entries_.push_back({info, std::move(factory)});
-  return true;
-}
-
-std::vector<ChannelInfo> ChannelRegistry::list() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<ChannelInfo> out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) out.push_back(e.info);
-  return out;
-}
-
-bool ChannelRegistry::has(Channel id) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == id) return true;
-  }
-  return false;
-}
-
-std::unique_ptr<DetectionChannel> ChannelRegistry::make(
-    Channel id, const OnlineDetectorOptions& options) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const Entry& e : entries_) {
-    if (e.info.id == id) return e.factory(options);
+std::unique_ptr<DetectionChannel> make_builtin(const ChannelInfo& info,
+                                               const OnlineDetectorOptions& o) {
+  switch (info.id) {
+    case Channel::kGoldenCompare:
+      return std::make_unique<GoldenCompareChannel>(info, o);
+    case Channel::kStreamLength:
+      return std::make_unique<StreamLengthChannel>(info, o);
+    case Channel::kGoldenFree:
+      if (!o.golden_free) return nullptr;
+      return std::make_unique<GoldenFreeChannel>(info, o);
+    case Channel::kPower: return std::make_unique<PowerChannel>(info, o);
+    case Channel::kAcoustic:
+      return std::make_unique<AcousticChannel>(info, o);
+    case Channel::kVibration:
+      return std::make_unique<VibrationChannel>(info, o);
+    case Channel::kFinalCounts:
+      if (!o.final_checks) return nullptr;
+      return std::make_unique<FinalCountsChannel>(info, o);
+    case Channel::kStaticOracle:
+      if (!o.final_checks) return nullptr;
+      return std::make_unique<StaticOracleChannel>(info, o);
+    case Channel::kNone: break;
   }
   return nullptr;
 }
 
-std::vector<std::unique_ptr<DetectionChannel>> ChannelRegistry::make_enabled(
-    const ChannelSet& set, const OnlineDetectorOptions& options) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+}  // namespace
+
+std::vector<std::unique_ptr<DetectionChannel>> make_channels(
+    const ChannelSet& set, const OnlineDetectorOptions& options) {
   std::vector<std::unique_ptr<DetectionChannel>> out;
-  for (const Entry& e : entries_) {
+  for (const ChannelInfo& info : kBuiltinChannels) {
     bool enabled = false;
-    switch (e.info.group) {
+    switch (info.group) {
       case ChannelInfo::Group::kSteps: enabled = set.steps; break;
       case ChannelInfo::Group::kPower: enabled = set.power; break;
       case ChannelInfo::Group::kAcoustic: enabled = set.acoustic; break;
       case ChannelInfo::Group::kVibration: enabled = set.vibration; break;
     }
     if (!enabled) continue;
-    auto channel = e.factory(options);
+    auto channel = make_builtin(info, options);
     if (channel != nullptr) out.push_back(std::move(channel));
   }
   return out;
 }
-
-namespace detail {
-
-void register_builtin_channels(ChannelRegistry& registry) {
-  // Registration order is the fusion tie-break order - keep the legacy
-  // fused-detector priority: step channels, then the side channels, then
-  // the end-of-print checks.
-  registry.add({Channel::kGoldenCompare, "golden-compare",
-                "windowed step-count compare vs the golden capture",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<GoldenCompareChannel>(o);
-               });
-  registry.add({Channel::kStreamLength, "stream-length",
-                "stream ran measurably longer than the golden print",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<StreamLengthChannel>(o);
-               });
-  registry.add({Channel::kGoldenFree, "golden-free",
-                "physical-plausibility rule violations (reference-free)",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o)
-                   -> std::unique_ptr<DetectionChannel> {
-                 if (!o.golden_free) return nullptr;
-                 return std::make_unique<GoldenFreeChannel>(o);
-               });
-  registry.add({Channel::kPower, "power",
-                "per-window mean-power compare vs the golden power trace",
-                ChannelInfo::Group::kPower},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<PowerChannel>(o);
-               });
-  registry.add({Channel::kAcoustic, "acoustic",
-                "acoustic master-signature verification (audio signing)",
-                ChannelInfo::Group::kAcoustic},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<AcousticChannel>(o);
-               });
-  registry.add({Channel::kVibration, "vibration",
-                "per-window vibration compare vs the golden vibration trace",
-                ChannelInfo::Group::kVibration},
-               [](const OnlineDetectorOptions& o) {
-                 return std::make_unique<VibrationChannel>(o);
-               });
-  registry.add({Channel::kFinalCounts, "final-counts",
-                "end-of-print 0%-margin golden totals check",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o)
-                   -> std::unique_ptr<DetectionChannel> {
-                 if (!o.final_checks) return nullptr;
-                 return std::make_unique<FinalCountsChannel>(o);
-               });
-  registry.add({Channel::kStaticOracle, "static-oracle",
-                "end-of-print static-oracle cross-check",
-                ChannelInfo::Group::kSteps},
-               [](const OnlineDetectorOptions& o)
-                   -> std::unique_ptr<DetectionChannel> {
-                 if (!o.final_checks) return nullptr;
-                 return std::make_unique<StaticOracleChannel>(o);
-               });
-}
-
-}  // namespace detail
 
 }  // namespace offramps::svc

@@ -1,29 +1,25 @@
 // Pluggable detection channels of the online detector.
 //
-// `OnlineDetector` used to fuse a hard-coded set of per-channel checks
-// inline; it is now a *channel manager* in the PassRegistry mold: every
-// way of judging a print - windowed step-count compare, stream-length
-// overrun, golden-free plausibility, power signature, acoustic master
-// signature, vibration signature, the end-of-print checks - is one
+// `OnlineDetector` is a *channel manager*: every way of judging a
+// print - windowed step-count compare, stream-length overrun,
+// golden-free plausibility, power signature, acoustic master signature,
+// vibration signature, the end-of-print checks - is one
 // `DetectionChannel` object behind a common interface.  The detector
 // delivers each stream event (transaction window, side-channel sample,
 // end of stream) to every enabled channel, collects the `ChannelTrip`s
 // they emit, and fuses them into one first-alarm verdict: the earliest
-// tripped window wins, ties go to the earlier-registered channel.  Each
+// tripped window wins, ties go to the earlier channel in the list.  Each
 // channel also contributes a `ChannelVerdict` attribution row to the
 // report, so a fleet operator can see which modality caught a Trojan
 // and which ones were armed but quiet.
 //
-// Third-party channels register through `ChannelRegistry::global()`
-// exactly like analyzer passes; registration order is the fusion
-// tie-break order, which keeps fleet reports deterministic.
+// The channels are one fixed list, kBuiltinChannels; its order is the
+// fusion tie-break order, which keeps fleet reports deterministic.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -130,7 +126,7 @@ struct ChannelTrip {
 
 /// Fusion rule shared by the detector and the unit suite: the earliest
 /// window wins; ties go to the earliest-delivered trip (channels are
-/// delivered to in registration order).  nullptr when `trips` is empty.
+/// delivered to in fusion order).  nullptr when `trips` is empty.
 const ChannelTrip* pick_first_trip(const std::vector<ChannelTrip>& trips);
 
 /// Stream position handed to every channel hook (what the legacy fused
@@ -192,51 +188,40 @@ class DetectionChannel {
   virtual void fill_report(OnlineReport& report) const = 0;
 };
 
-using ChannelFactory = std::function<std::unique_ptr<DetectionChannel>(
-    const OnlineDetectorOptions&)>;
+/// The builtin channels, in fusion (tie-break) order: the legacy fused
+/// detector's priority - step channels, then the side channels, then the
+/// end-of-print checks.
+inline constexpr std::array<ChannelInfo, 8> kBuiltinChannels{{
+    {Channel::kGoldenCompare, "golden-compare",
+     "windowed step-count compare vs the golden capture",
+     ChannelInfo::Group::kSteps},
+    {Channel::kStreamLength, "stream-length",
+     "stream ran measurably longer than the golden print",
+     ChannelInfo::Group::kSteps},
+    {Channel::kGoldenFree, "golden-free",
+     "physical-plausibility rule violations (reference-free)",
+     ChannelInfo::Group::kSteps},
+    {Channel::kPower, "power",
+     "per-window mean-power compare vs the golden power trace",
+     ChannelInfo::Group::kPower},
+    {Channel::kAcoustic, "acoustic",
+     "acoustic master-signature verification (audio signing)",
+     ChannelInfo::Group::kAcoustic},
+    {Channel::kVibration, "vibration",
+     "per-window vibration compare vs the golden vibration trace",
+     ChannelInfo::Group::kVibration},
+    {Channel::kFinalCounts, "final-counts",
+     "end-of-print 0%-margin golden totals check",
+     ChannelInfo::Group::kSteps},
+    {Channel::kStaticOracle, "static-oracle",
+     "end-of-print static-oracle cross-check", ChannelInfo::Group::kSteps},
+}};
 
-/// Process-wide channel registry.  Builtin channels self-register on
-/// first access; third-party channels may `add` more at any time.
-/// Thread-safe (fleet rigs build detectors on parallel workers).
-class ChannelRegistry {
- public:
-  static ChannelRegistry& global();
-
-  /// Registers a channel factory.  Returns false (and registers
-  /// nothing) when the Channel id is already taken.  A factory may
-  /// return nullptr to sit out a particular configuration (e.g. the
-  /// golden-free channel when options disable it).
-  bool add(ChannelInfo info, ChannelFactory factory);
-
-  /// Registered channels in registration order (= fusion tie-break
-  /// order).
-  [[nodiscard]] std::vector<ChannelInfo> list() const;
-  [[nodiscard]] bool has(Channel id) const;
-
-  /// Instantiates one channel; nullptr for an unknown id or when the
-  /// factory declined the configuration.
-  [[nodiscard]] std::unique_ptr<DetectionChannel> make(
-      Channel id, const OnlineDetectorOptions& options) const;
-
-  /// Instantiates every registered channel whose group is enabled, in
-  /// registration order, skipping factories that decline.
-  [[nodiscard]] std::vector<std::unique_ptr<DetectionChannel>> make_enabled(
-      const ChannelSet& set, const OnlineDetectorOptions& options) const;
-
- private:
-  ChannelRegistry() = default;
-  struct Entry {
-    ChannelInfo info;
-    ChannelFactory factory;
-  };
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-};
-
-namespace detail {
-/// Registers the builtin channels (channel.cpp); called once from
-/// ChannelRegistry::global().
-void register_builtin_channels(ChannelRegistry& registry);
-}  // namespace detail
+/// Instantiates every builtin channel whose group `set` enables, in
+/// fusion order.  The golden-free channel sits out when
+/// options.golden_free is off, the end-of-print checks when
+/// options.final_checks is off.
+[[nodiscard]] std::vector<std::unique_ptr<DetectionChannel>> make_channels(
+    const ChannelSet& set, const OnlineDetectorOptions& options);
 
 }  // namespace offramps::svc

@@ -10,173 +10,21 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <mutex>
 
-#include "analyze/analyzer.hpp"
 #include "host/parallel_runner.hpp"
-#include "host/rig.hpp"
 #include "obs/metrics.hpp"
 #include "sim/error.hpp"
-#include "svc/ref_cache.hpp"
 
 namespace offramps::svc {
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Shared reference resolution: one compute per content digest per
-// process.  The first session to ask for a digest computes (cache read,
-// else simulate + cache write) while later askers block on the slot's
-// condition variable - so a 16-rig campaign over one object runs the
-// reference phase exactly once no matter how sessions interleave.
-
-struct Resolved {
-  gcode::Program program;
-  analyze::Oracle oracle;
-  core::Capture golden;
-  plant::PowerTrace golden_power;
-  plant::SideTrace golden_acoustic;
-  plant::SideTrace golden_vibration;
-};
-
-class ReferenceResolver {
- public:
-  explicit ReferenceResolver(const ServiceOptions& options)
-      : options_(options) {
-    if (!options_.cache_dir.empty()) {
-      cache_ = std::make_unique<RefCache>(
-          RefCacheOptions{options_.cache_dir, options_.cache_max_bytes});
-    }
-  }
-
-  /// Returns the references for one object geometry; throws
-  /// offramps::Error when the reference cannot be produced (and replays
-  /// that error to every waiter of the same digest).
-  const Resolved& resolve(double cube_mm, double height_mm) {
-    const std::uint64_t key =
-        reference_digest(cube_mm, height_mm, options_.profile,
-                         options_.reference_seed, options_.channels);
-    Slot* slot = nullptr;
-    bool owner = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      auto& p = slots_[key];
-      if (!p) {
-        p = std::make_unique<Slot>();
-        owner = true;
-      }
-      slot = p.get();
-      if (!owner) {
-        cv_.wait(lk, [&] { return slot->done; });
-        if (slot->failed) throw Error(slot->error);
-        return slot->data;
-      }
-    }
-    try {
-      Resolved r = compute(cube_mm, height_mm, key);
-      std::lock_guard<std::mutex> lk(mu_);
-      slot->data = std::move(r);
-      slot->done = true;
-      cv_.notify_all();
-      return slot->data;
-    } catch (const std::exception& e) {
-      std::lock_guard<std::mutex> lk(mu_);
-      slot->failed = true;
-      slot->error = std::string("reference: ") + e.what();
-      slot->done = true;
-      cv_.notify_all();
-      throw Error(slot->error);
-    }
-  }
-
- private:
-  struct Slot {
-    bool done = false;
-    bool failed = false;
-    std::string error;
-    Resolved data;
-  };
-
-  Resolved compute(double cube_mm, double height_mm, std::uint64_t key) {
-    Resolved r;
-    const host::CubeSpec cube{.size_x_mm = cube_mm,
-                              .size_y_mm = cube_mm,
-                              .height_mm = height_mm,
-                              .center_x_mm = 110.0,
-                              .center_y_mm = 100.0};
-    r.program = host::slice_cube(cube, options_.profile);
-    r.oracle = analyze::analyze_program(r.program, fw::Config{}).oracle;
-    if (cache_) {
-      if (auto hit = cache_->get(key)) {
-        r.golden = std::move(hit->golden);
-        r.golden_power = std::move(hit->golden_power);
-        r.golden_acoustic = std::move(hit->golden_acoustic);
-        r.golden_vibration = std::move(hit->golden_vibration);
-        return r;
-      }
-    }
-#if OFFRAMPS_OBS_ENABLED
-    if (obs::enabled()) {
-      obs::Registry::instance().counter("svc.ref.simulations").add(1);
-    }
-#endif
-    host::RigOptions ro;
-    ro.firmware.jitter_seed = options_.reference_seed;
-    attach_probes(ro, options_.channels, options_.reference_seed);
-    host::Rig rig(ro);
-    host::RunResult res = rig.run(r.program);
-    if (!res.finished) throw Error("reference print did not finish");
-    r.golden = std::move(res.capture);
-    r.golden_power = std::move(res.power_trace);
-    r.golden_acoustic = std::move(res.acoustic_trace);
-    r.golden_vibration = std::move(res.vibration_trace);
-    if (cache_) {
-      cache_->put(key, RefEntry{r.golden, r.golden_power, r.golden_acoustic,
-                                r.golden_vibration});
-    }
-    return r;
-  }
-
-  ServiceOptions options_;
-  std::unique_ptr<RefCache> cache_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<std::uint64_t, std::unique_ptr<Slot>> slots_;
-};
-
-/// Binds a resolver into the per-session callback, honoring the
-/// campaign-level channel switches exactly like Fleet does: the oracle
-/// only when armed, the power trace only when non-empty.
-RigSession::ResolveRefs make_refs_fn(ReferenceResolver& resolver,
-                                     const ServiceOptions& options) {
-  const bool use_oracle = options.use_oracle;
-  const ChannelSet channels = options.channels;
-  return [&resolver, use_oracle,
-          channels](const core::wire::SessionHello& hello) {
-    const Resolved& r = resolver.resolve(hello.cube_mm, hello.height_mm);
-    SessionRefs refs;
-    refs.golden = &r.golden;
-    if (use_oracle && r.oracle.counters_armed) refs.oracle = &r.oracle;
-    if (channels.power && !r.golden_power.empty()) {
-      refs.golden_power = &r.golden_power;
-    }
-    if (channels.acoustic && !r.golden_acoustic.empty()) {
-      refs.golden_acoustic = &r.golden_acoustic;
-    }
-    if (channels.vibration && !r.golden_vibration.empty()) {
-      refs.golden_vibration = &r.golden_vibration;
-    }
-    return refs;
-  };
-}
 
 // ---------------------------------------------------------------------
 // Report assembly.  Arrival order is wall-clock nondeterministic (socket
@@ -255,6 +103,14 @@ void register_service_metrics() {
   obs::Registry::instance().counter("svc.cache.rejected");
   daemon_stats();
 #endif
+}
+
+/// A session's reference callback: its hello's object, through the
+/// campaign's resolver.
+RigSession::ResolveRefs resolve_refs(ReferenceResolver& resolver) {
+  return [&resolver](const core::wire::SessionHello& hello) {
+    return resolver.session_refs(hello.cube_mm, hello.height_mm);
+  };
 }
 
 SessionOptions session_options(const ServiceOptions& options) {
@@ -338,7 +194,6 @@ FleetReport replay_corpus(const std::string& corpus_dir,
   host::ParallelRunner pool(options.service.workers);
   ReferenceResolver resolver(options.service);
   const SessionOptions sopts = session_options(options.service);
-  const auto refs_fn = make_refs_fn(resolver, options.service);
 
   std::vector<SessionResult> results =
       pool.map<SessionResult>(files.size(), [&](std::size_t i) {
@@ -357,7 +212,7 @@ FleetReport replay_corpus(const std::string& corpus_dir,
               host::ChaosInjector(spec, 0).mangle_session(bytes);
             }
           }
-          RigSession session(sopts, refs_fn);
+          RigSession session(sopts, resolve_refs(resolver));
           session.feed(bytes.data(), bytes.size());
           session.close();
           fill_result(item, session);
@@ -424,7 +279,6 @@ FleetReport Daemon::serve_socket() {
   host::ParallelRunner pool(options_.service.workers);
   ReferenceResolver resolver(options_.service);
   const SessionOptions sopts = session_options(options_.service);
-  const auto refs_fn = make_refs_fn(resolver, options_.service);
 
   std::mutex results_mu;
   std::vector<SessionResult> results;
@@ -449,7 +303,7 @@ FleetReport Daemon::serve_socket() {
     item.arrival = seq;
     item.label = "conn-" + std::to_string(seq);
     {
-      RigSession session(sopts, refs_fn);
+      RigSession session(sopts, resolve_refs(resolver));
       std::vector<std::uint8_t> buf(1 << 16);
       while (!session.done()) {
         const ssize_t n = ::read(fd, buf.data(), buf.size());
@@ -520,7 +374,6 @@ FleetReport Daemon::serve_stdin() {
                         // is the wake-up in pipe mode
   ReferenceResolver resolver(options_.service);
   const SessionOptions sopts = session_options(options_.service);
-  const auto refs_fn = make_refs_fn(resolver, options_.service);
 
   std::vector<SessionResult> results;
   std::size_t seq = 0;
@@ -562,7 +415,7 @@ FleetReport Daemon::serve_stdin() {
     std::size_t off = 0;
     while (off < got) {
       if (!session) {
-        session = std::make_unique<RigSession>(sopts, refs_fn);
+        session = std::make_unique<RigSession>(sopts, resolve_refs(resolver));
         t0 = std::chrono::steady_clock::now();
 #if OFFRAMPS_OBS_ENABLED
         if (obs::enabled()) daemon_stats().joins->add(1);

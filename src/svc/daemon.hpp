@@ -14,10 +14,13 @@
 // hello's campaign index so the report is byte-identical to the live
 // campaign the streams were recorded from.
 //
-// Golden references resolve through a shared ReferenceResolver: one
-// compute per content digest per process, backed by the on-disk
-// svc::RefCache when a cache directory is configured - so a farm daemon
-// simulates each reference at most once, ever.
+// Golden references resolve through the same svc::ReferenceResolver the
+// batch fleet uses (svc/reference.hpp): one resolution per content digest
+// per process - checkpoint-free here, so the on-disk svc::RefCache when a
+// cache directory is configured, else one supervised reference print
+// with the fleet's retry and counts-only degrade - so a farm daemon
+// simulates each reference at most once, ever.  A lost reference
+// quarantines every session of that object ("session: reference: ...").
 //
 // replay_corpus() is the offline flavor: re-run detector verdicts from
 // `--captures`-saved session files without simulating anything,
@@ -32,31 +35,10 @@
 #include <vector>
 
 #include "host/chaos.hpp"
-#include "host/slicer.hpp"
 #include "svc/fleet.hpp"
 #include "svc/session.hpp"
 
 namespace offramps::svc {
-
-/// Options shared by the daemon and replay: how sessions are judged and
-/// how references are obtained.  Detector/pump tuning must match the
-/// campaign the streams came from for byte-identical reports.
-struct ServiceOptions {
-  /// Worker threads; 0 = host::ParallelRunner::default_workers().
-  std::size_t workers = 0;
-  OnlineDetectorOptions detector{};
-  PumpOptions pump{};
-  bool use_oracle = true;
-  /// Enabled side channels; mirrored into the per-session detector and
-  /// part of the reference digest, exactly like FleetOptions::channels.
-  ChannelSet channels{};
-  std::uint64_t reference_seed = 42;
-  host::SliceProfile profile{};
-  /// When set, golden references are served from / persisted to this
-  /// svc::RefCache directory.
-  std::string cache_dir;
-  std::uint64_t cache_max_bytes = 0;
-};
 
 struct ReplayOptions {
   ServiceOptions service{};

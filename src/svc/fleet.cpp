@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <utility>
 
-#include "analyze/analyzer.hpp"
 #include "core/strict_parse.hpp"
 #include "gcode/flaw3d.hpp"
 #include "host/parallel_runner.hpp"
@@ -19,7 +18,6 @@
 #include "core/session_wire.hpp"
 #include "svc/checkpoint.hpp"
 #include "svc/json.hpp"
-#include "svc/ref_cache.hpp"
 
 namespace offramps::svc {
 
@@ -106,6 +104,30 @@ void append_kv(std::string& out, const char* key, bool v) {
   out += key;
   out += "\": ";
   out += v ? "true" : "false";
+}
+
+/// An integer spec field in [lo, hi]; absent (or not a number) keeps
+/// `fallback`.  Casting a negative, fractional, non-finite or too-large
+/// double to an integer is undefined behavior, so those are spec errors.
+std::uint64_t whole_or(const json::Value& obj, const char* key,
+                       std::uint64_t fallback, std::uint64_t lo,
+                       std::uint64_t hi) {
+  const json::Value* v = obj.find(key);
+  if (v == nullptr || v->kind != json::Value::Kind::kNumber) return fallback;
+  const double x = v->number;
+  // hi + 1 rounds to 2^64 for hi = 2^64 - 1: still the exclusive bound.
+  if (!std::isfinite(x) || x != std::floor(x) ||
+      x < static_cast<double>(lo) ||
+      !(x < static_cast<double>(hi) + 1.0)) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "fleet spec: \"%s\" wants a whole number in [%llu, %llu], "
+                  "got %g",
+                  key, static_cast<unsigned long long>(lo),
+                  static_cast<unsigned long long>(hi), x);
+    throw Error(buf);
+  }
+  return static_cast<std::uint64_t>(x);
 }
 
 /// A file-name-safe rendition of a rig name.
@@ -319,39 +341,7 @@ std::string FleetReport::to_string() const {
 
 Fleet::Fleet(FleetOptions options) : options_(std::move(options)) {}
 
-void attach_probes(host::RigOptions& ro, const ChannelSet& channels,
-                   std::uint64_t seed) {
-  // (Every run used to get the probe defaults verbatim, so the whole
-  // farm shared one noise sequence - two rigs' "independent" sensors
-  // were bit-identical.)
-  if (channels.power) {
-    plant::PowerProbeOptions po;
-    po.noise_seed = plant::probe_noise_seed(seed, po.noise_seed);
-    ro.power_probe = po;
-  }
-  if (channels.acoustic) {
-    plant::AcousticProbeOptions ao;
-    ao.noise_seed = plant::probe_noise_seed(seed, ao.noise_seed);
-    ro.acoustic_probe = ao;
-  }
-  if (channels.vibration) {
-    plant::VibrationProbeOptions vo;
-    vo.noise_seed = plant::probe_noise_seed(seed, vo.noise_seed);
-    ro.vibration_probe = vo;
-  }
-}
-
 namespace {
-
-/// Per-object reference data shared by every rig printing that object.
-struct Reference {
-  gcode::Program program;       // clean sliced program
-  analyze::Oracle oracle;
-  core::Capture golden;
-  plant::PowerTrace golden_power;
-  plant::SideTrace golden_acoustic;
-  plant::SideTrace golden_vibration;
-};
 
 gcode::Program sabotaged_program(const gcode::Program& clean,
                                  const Sabotage& s) {
@@ -371,20 +361,7 @@ gcode::Program sabotaged_program(const gcode::Program& clean,
 FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   host::ParallelRunner pool(options_.workers);
   const Supervisor supervisor(options_.supervisor);
-
-  // Reference cache: opened once per campaign; its counters (and the
-  // simulation counter it suppresses) register eagerly so a fully-warm
-  // run still exports "svc.ref.simulations": 0 for the acceptance grep.
-  std::unique_ptr<RefCache> ref_cache;
-  if (!options_.cache_dir.empty()) {
-    ref_cache = std::make_unique<RefCache>(
-        RefCacheOptions{options_.cache_dir, options_.cache_max_bytes});
-  }
-#if OFFRAMPS_OBS_ENABLED
-  if (obs::enabled()) {
-    obs::Registry::instance().counter("svc.ref.simulations");
-  }
-#endif
+  ReferenceResolver resolver(options_);
 
   // Normalized specs: default names resolved up front so the campaign
   // digest, the checkpoint records, and the report all agree.
@@ -405,14 +382,18 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
   }
 
   const std::uint64_t digest = campaign_digest(fleet, options_);
+  const bool checkpointing = !options_.checkpoint_path.empty();
+  Checkpoint ck_out;
+  ck_out.spec_digest = digest;
+  ck_out.total_rigs = static_cast<std::uint32_t>(fleet.size());
+  ck_out.references.resize(objects.size());
 
   // Resume: pull prior outcomes and golden references out of the
   // checkpoint.  A digest mismatch is a hard error - resuming with
   // edited specs or options would silently skew results.
   std::vector<char> already_done(fleet.size(), 0);
   std::vector<RigOutcome> prior(fleet.size());
-  std::vector<RefEntry> ref_snapshots(objects.size());
-  std::vector<char> have_snapshot(objects.size(), 0);
+  std::vector<char> from_checkpoint(objects.size(), 0);
   if (!options_.resume_path.empty()) {
     Checkpoint ck = Checkpoint::load(options_.resume_path);
     if (ck.spec_digest != digest) {
@@ -427,9 +408,11 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
       throw Error("checkpoint: more references than the fleet has objects");
     }
     for (std::size_t j = 0; j < ck.references.size(); ++j) {
-      if (ck.references[j].golden.empty()) continue;  // degraded/lost ref
-      ref_snapshots[j] = std::move(ck.references[j]);
-      have_snapshot[j] = 1;
+      if (ck.references[j].golden.empty()) continue;  // lost/unresolved
+      if (checkpointing) ck_out.references[j] = ck.references[j];
+      resolver.seed(objects[j].first, objects[j].second,
+                    std::move(ck.references[j]));
+      from_checkpoint[j] = 1;
     }
     for (auto& [index, outcome] : ck.done) {
       already_done[index] = 1;
@@ -437,10 +420,42 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     }
   }
 
-  // Per-job wall-clock, written by worker threads into index-addressed
+  // Checkpoint writer: references enter as they resolve, rig
+  // completions append, all under one lock.
+  std::mutex ck_mu;
+  std::size_t completed_since_save = 0;
+  if (checkpointing) {
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      if (already_done[i]) {
+        ck_out.done.emplace_back(static_cast<std::uint32_t>(i), prior[i]);
+      }
+    }
+    ck_out.save(options_.checkpoint_path);
+  }
+
+  // The first rig to get an object's reference files it: golden capture
+  // to the captures dir, golden into the checkpoint (saved at once, so a
+  // kill costs no finished reference print).  `resolved` also feeds the
+  // reference timings.
+  std::vector<const Reference*> resolved(objects.size(), nullptr);
+  const auto file_reference = [&](std::size_t j, const Reference& ref) {
+    const std::lock_guard<std::mutex> lock(ck_mu);
+    if (resolved[j] != nullptr) return;
+    resolved[j] = &ref;
+    if (from_checkpoint[j] || ref.guard.status == RigStatus::kLost) return;
+    if (!options_.save_captures_dir.empty()) {
+      ref.golden.save_binary(options_.save_captures_dir + "/golden-" +
+                             std::to_string(j) + ".bin");
+    }
+    if (checkpointing) {
+      ck_out.references[j] = ref;
+      ck_out.save(options_.checkpoint_path);
+    }
+  };
+
+  // Per-rig wall-clock, written by worker threads into index-addressed
   // slots (no sharing) and merged in index order afterwards, so the
   // timings list is deterministic even though the values are wall-clock.
-  std::vector<double> ref_seconds(objects.size(), 0.0);
   std::vector<double> rig_seconds(fleet.size(), 0.0);
   const auto seconds_since =
       [](std::chrono::steady_clock::time_point t0) {
@@ -448,146 +463,6 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
                    std::chrono::steady_clock::now() - t0)
             .count();
       };
-
-  // Reference phase: slice + oracle + one golden print per object, each
-  // print supervised (retry on throw, sim-clocked stall watchdog).  On
-  // resume the golden capture/power come from the checkpoint and only
-  // the cheap deterministic slice + oracle are recomputed.
-  std::vector<GuardOutcome> ref_guards(objects.size());
-  std::vector<Reference> refs = pool.map<Reference>(
-      objects.size(), [&](std::size_t i) {
-        const obs::Span span("reference/" + std::to_string(i), "fleet");
-        const auto job_t0 = std::chrono::steady_clock::now();
-        Reference ref;
-        const host::CubeSpec cube{.size_x_mm = objects[i].first,
-                                  .size_y_mm = objects[i].first,
-                                  .height_mm = objects[i].second,
-                                  .center_x_mm = 110.0,
-                                  .center_y_mm = 100.0};
-        ref.program = host::slice_cube(cube, options_.profile);
-        ref.oracle =
-            analyze::analyze_program(ref.program, fw::Config{}).oracle;
-
-        if (have_snapshot[i]) {
-          ref.golden = std::move(ref_snapshots[i].golden);
-          ref.golden_power = std::move(ref_snapshots[i].golden_power);
-          ref.golden_acoustic = std::move(ref_snapshots[i].golden_acoustic);
-          ref.golden_vibration = std::move(ref_snapshots[i].golden_vibration);
-          ref_guards[i] = GuardOutcome{RigStatus::kOk, 0, {}};
-          ref_seconds[i] = seconds_since(job_t0);
-          return ref;
-        }
-
-        // Content-addressed cache: a hit replaces the golden print
-        // entirely (the slice + oracle above are cheap and always
-        // recomputed; only the simulation is worth persisting).
-        const std::uint64_t ref_key = reference_digest(
-            objects[i].first, objects[i].second, options_.profile,
-            options_.reference_seed, options_.channels);
-        if (ref_cache) {
-          if (auto hit = ref_cache->get(ref_key)) {
-            ref.golden = std::move(hit->golden);
-            ref.golden_power = std::move(hit->golden_power);
-            ref.golden_acoustic = std::move(hit->golden_acoustic);
-            ref.golden_vibration = std::move(hit->golden_vibration);
-            ref_guards[i] = GuardOutcome{RigStatus::kOk, 0, {}};
-            if (!options_.save_captures_dir.empty()) {
-              ref.golden.save_binary(options_.save_captures_dir +
-                                     "/golden-" + std::to_string(i) +
-                                     ".bin");
-            }
-            ref_seconds[i] = seconds_since(job_t0);
-            return ref;
-          }
-        }
-#if OFFRAMPS_OBS_ENABLED
-        if (obs::enabled()) {
-          obs::Registry::instance().counter("svc.ref.simulations").add(1);
-        }
-#endif
-
-        // Key space: references live above the rig indices so backoff
-        // jitter never correlates a reference with a same-index rig.
-        ref_guards[i] = supervisor.run_guarded(
-            (1ull << 32) + i, [&](const AttemptContext& ctx) {
-              host::RigOptions ro;
-              ro.firmware.jitter_seed = options_.reference_seed;
-              // Degraded attempt: count channels only, no probes.
-              const ChannelSet probes = ctx.degraded
-                                            ? options_.channels.counts_only()
-                                            : options_.channels;
-              attach_probes(ro, probes, options_.reference_seed);
-              host::Rig rig(ro);
-              std::uint64_t txns = 0;
-              rig.board().fpga().uart().on_transaction(
-                  [&txns](const core::Transaction&) { ++txns; });
-              StallWatchdog dog(
-                  rig.scheduler(), options_.supervisor,
-                  [&txns] { return txns; },
-                  [&rig] {
-                    return rig.firmware().state() == fw::FwState::kRunning;
-                  },
-                  "reference/" + std::to_string(i));
-              host::RunResult res = rig.run(ref.program);
-              if (!res.finished) {
-                throw Error("fleet: reference print did not finish");
-              }
-              ref.golden = std::move(res.capture);
-              ref.golden_power = std::move(res.power_trace);
-              ref.golden_acoustic = std::move(res.acoustic_trace);
-              ref.golden_vibration = std::move(res.vibration_trace);
-            });
-        if (ref_guards[i].status == RigStatus::kLost) {
-          ref.golden = core::Capture{};
-          ref.golden_power.clear();
-          ref.golden_acoustic.clear();
-          ref.golden_vibration.clear();
-        } else {
-          // Persist only full-fidelity references: a degraded attempt
-          // ran without its probes, and caching empty side-channel
-          // traces would silently disarm those channels for every
-          // future campaign that hits this key.
-          if (ref_cache && (ref_guards[i].status == RigStatus::kOk ||
-                            ref_guards[i].status == RigStatus::kRecovered)) {
-            ref_cache->put(ref_key,
-                           RefEntry{ref.golden, ref.golden_power,
-                                    ref.golden_acoustic,
-                                    ref.golden_vibration});
-          }
-          if (!options_.save_captures_dir.empty()) {
-            ref.golden.save_binary(options_.save_captures_dir + "/golden-" +
-                                   std::to_string(i) + ".bin");
-          }
-        }
-        ref_seconds[i] = seconds_since(job_t0);
-        return ref;
-      });
-
-  // Checkpoint writer.  One Checkpoint object is reused across saves
-  // (references are filled once); rig completions append under the lock.
-  Checkpoint ck_out;
-  std::mutex ck_mu;
-  std::size_t completed_since_save = 0;
-  const bool checkpointing = !options_.checkpoint_path.empty();
-  if (checkpointing) {
-    ck_out.spec_digest = digest;
-    ck_out.total_rigs = static_cast<std::uint32_t>(fleet.size());
-    ck_out.references.resize(objects.size());
-    for (std::size_t j = 0; j < objects.size(); ++j) {
-      if (ref_guards[j].status == RigStatus::kLost) continue;
-      ck_out.references[j] =
-          RefEntry{refs[j].golden, refs[j].golden_power,
-                   refs[j].golden_acoustic, refs[j].golden_vibration};
-    }
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-      if (already_done[i]) {
-        ck_out.done.emplace_back(static_cast<std::uint32_t>(i), prior[i]);
-      }
-    }
-    // Persist the reference work immediately: a kill during the rig
-    // phase must not cost the golden prints.
-    ck_out.save(options_.checkpoint_path);
-  }
 
   // Rigs still owed a verdict, in spec order.  stop_after truncates the
   // list deterministically (a checkpoint-kill drill for tests: the first
@@ -602,27 +477,31 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     stopped_early = true;
   }
 
-  // Fleet phase: every pending rig prints under its own online detector,
-  // inside the supervisor's retry/quarantine loop, with its chaos order
-  // (if any) applied per attempt.
+  // Every pending rig resolves its object's reference (the first rig of
+  // an object computes it, the others wait), then prints under its own
+  // online detector, inside the supervisor's retry/quarantine loop, with
+  // its chaos order (if any) applied per attempt.
   std::vector<RigOutcome> fresh = pool.map<RigOutcome>(
       pending.size(), [&](std::size_t k) {
     const std::size_t i = pending[k];
     const RigSpec& spec = fleet[i];
+    const std::size_t obj = object_of[i];
+    const Reference& ref = resolver.resolve(
+        objects[obj].first, objects[obj].second, std::to_string(obj));
+    file_reference(obj, ref);
+    // The rig's clock starts once its reference is in hand: resolving
+    // and waiting count as reference time, not rig time.
     const obs::Span span("rig/" + spec.name, "fleet");
     const auto job_t0 = std::chrono::steady_clock::now();
-    const std::size_t obj = object_of[i];
-    const Reference& ref = refs[obj];
 
     RigOutcome out;
     out.spec = spec;
-    if (ref_guards[obj].status == RigStatus::kLost) {
+    if (ref.guard.status == RigStatus::kLost) {
       // No golden reference to compare against: quarantine without
       // simulating.
       out.status = RigStatus::kLost;
       out.attempts = 0;
-      out.failure_cause =
-          "reference lost: " + ref_guards[obj].failure_cause;
+      out.failure_cause = "reference lost: " + ref.guard.failure_cause;
     } else {
       const GuardOutcome guard = supervisor.run_guarded(i, [&](
           const AttemptContext& ctx) {
@@ -660,19 +539,7 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
         OnlineDetectorOptions det_opts = options_.detector;
         det_opts.channels = live;
         OnlineDetector detector(det_opts);
-        detector.set_golden(&ref.golden);
-        if (options_.use_oracle && ref.oracle.counters_armed) {
-          detector.set_oracle(&ref.oracle);
-        }
-        if (live.power && !ref.golden_power.empty()) {
-          detector.set_golden_power(&ref.golden_power);
-        }
-        if (live.acoustic && !ref.golden_acoustic.empty()) {
-          detector.set_golden_acoustic(&ref.golden_acoustic);
-        }
-        if (live.vibration && !ref.golden_vibration.empty()) {
-          detector.set_golden_vibration(&ref.golden_vibration);
-        }
+        detector.set_refs(channel_refs(ref, options_.use_oracle, live));
 
         host::RigOptions ro;
         ro.firmware.jitter_seed = spec.seed;
@@ -873,14 +740,15 @@ FleetReport Fleet::run(const std::vector<RigSpec>& specs) {
     ck_out.save(options_.checkpoint_path);  // tail < checkpoint_every
   }
 
-  // Deterministic order: references by object index, then the rigs
-  // actually simulated by THIS process, by spec index - resumed rigs
-  // deliberately never appear here, which is how tests assert they were
-  // skipped rather than re-printed.
+  // Deterministic order: the references this process resolved, by
+  // object index, then the rigs actually simulated by THIS process, by
+  // spec index - resumed rigs deliberately never appear here, which is
+  // how tests assert they were skipped rather than re-printed.
   report.timings.reserve(objects.size() + pending.size());
-  for (std::size_t i = 0; i < objects.size(); ++i) {
+  for (std::size_t j = 0; j < objects.size(); ++j) {
+    if (resolved[j] == nullptr) continue;
     report.timings.push_back(
-        {"reference/" + std::to_string(i), ref_seconds[i]});
+        {"reference/" + std::to_string(j), resolved[j]->seconds});
   }
   for (const std::size_t i : pending) {
     report.timings.push_back(
@@ -920,8 +788,8 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
   const json::Value doc = json::parse(text);
   if (!doc.is_object()) throw Error("fleet spec: root must be an object");
 
-  options.workers = static_cast<std::size_t>(
-      doc.number_or("workers", static_cast<double>(options.workers)));
+  constexpr std::uint64_t kMaxU64 = ~std::uint64_t{0};
+  options.workers = whole_or(doc, "workers", options.workers, 0, kMaxWorkers);
   options.safe_stop = doc.bool_or("safe_stop", options.safe_stop);
   options.use_oracle = doc.bool_or("use_oracle", options.use_oracle);
   // Back-compat: "use_power" predates the channel set and only gates the
@@ -936,32 +804,28 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
       throw Error(std::string("fleet spec: ") + e.what());
     }
   }
-  options.reference_seed = static_cast<std::uint64_t>(doc.number_or(
-      "reference_seed", static_cast<double>(options.reference_seed)));
+  options.reference_seed =
+      whole_or(doc, "reference_seed", options.reference_seed, 0, kMaxU64);
   options.save_captures_dir =
       doc.string_or("save_captures_dir", options.save_captures_dir);
   options.cache_dir = doc.string_or("cache", options.cache_dir);
-  options.cache_max_bytes = static_cast<std::uint64_t>(
-      doc.number_or("cache_max_mb",
-                    static_cast<double>(options.cache_max_bytes) /
-                        (1024.0 * 1024.0)) *
-      1024.0 * 1024.0);
-  options.detector.ring_capacity = static_cast<std::size_t>(doc.number_or(
-      "ring_capacity",
-      static_cast<double>(options.detector.ring_capacity)));
-  options.supervisor.max_attempts = static_cast<std::uint32_t>(doc.number_or(
-      "max_attempts",
-      static_cast<double>(options.supervisor.max_attempts)));
-  options.supervisor.backoff_base_ms =
-      static_cast<std::uint64_t>(doc.number_or(
-          "backoff_ms",
-          static_cast<double>(options.supervisor.backoff_base_ms)));
+  const std::uint64_t cache_mb =
+      whole_or(doc, "cache_max_mb", kMaxU64, 0, kMaxSpecCount);
+  if (cache_mb != kMaxU64) options.cache_max_bytes = cache_mb << 20;
+  options.detector.ring_capacity =
+      whole_or(doc, "ring_capacity", options.detector.ring_capacity, 1,
+               kMaxSpecCount);
+  options.supervisor.max_attempts = static_cast<std::uint32_t>(
+      whole_or(doc, "max_attempts", options.supervisor.max_attempts, 1,
+               kMaxSpecCount));
+  options.supervisor.backoff_base_ms = whole_or(
+      doc, "backoff_ms", options.supervisor.backoff_base_ms, 0, kMaxSpecCount);
   options.supervisor.stall_timeout_s = doc.number_or(
       "stall_timeout_s", options.supervisor.stall_timeout_s);
   options.checkpoint_path =
       doc.string_or("checkpoint", options.checkpoint_path);
-  options.checkpoint_every = static_cast<std::size_t>(doc.number_or(
-      "checkpoint_every", static_cast<double>(options.checkpoint_every)));
+  options.checkpoint_every = whole_or(
+      doc, "checkpoint_every", options.checkpoint_every, 1, kMaxSpecCount);
 
   const json::Value* rigs = doc.find("rigs");
   if (rigs == nullptr || !rigs->is_array()) {
@@ -975,8 +839,7 @@ std::vector<RigSpec> Fleet::specs_from_json(const std::string& text,
     }
     RigSpec spec;
     spec.name = r.string_or("name", "");
-    spec.seed =
-        static_cast<std::uint64_t>(r.number_or("seed", 1000.0 + specs.size()));
+    spec.seed = whole_or(r, "seed", 1000 + specs.size(), 0, kMaxU64);
     spec.cube_mm = r.number_or("cube_mm", spec.cube_mm);
     spec.height_mm = r.number_or("height_mm", spec.height_mm);
     spec.sabotage = parse_sabotage(r.string_or("sabotage", ""));

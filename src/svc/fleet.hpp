@@ -7,18 +7,17 @@
 // svc::OnlineDetector per rig consuming that rig's capture stream live
 // through its ring buffer via a clock-slaved svc::Pump.
 //
-// Run shape:
-//
-//   1. Reference phase: for each distinct object in the fleet, slice the
-//      clean program, compute its static oracle, and print one reference
-//      part (fixed reference seed) to obtain the golden capture and the
-//      golden side-channel traces (power, acoustic, vibration - per the
-//      enabled channel set).  References are shared by every rig printing
-//      that object and are computed on the same pool.
-//   2. Fleet phase: every rig prints under its detector.  A mid-print
-//      alarm safe-stops that rig's firmware (the paper's real-time
-//      halt, here driven by the fused multi-channel verdict); the other
-//      rigs are unaffected.
+// Run shape: every rig is one job on the pool.  A job first obtains its
+// object's reference from the campaign's svc::ReferenceResolver (slice
+// the clean program, compute its static oracle, and take the golden
+// capture and side-channel traces from the checkpoint, the reference
+// cache, or one supervised reference print at a fixed seed).  The first
+// rig of an object resolves it while later rigs of that object wait for
+// it, so no barrier holds the fleet back and each reference is printed
+// at most once.  The rig then prints under its detector.  A mid-print
+// alarm safe-stops that rig's firmware (the paper's real-time halt, here
+// driven by the fused multi-channel verdict); the other rigs are
+// unaffected.
 //
 // Determinism: each rig is a self-contained single-threaded simulation,
 // outcomes are stored by rig index, and the report renders no wall-clock
@@ -34,24 +33,16 @@
 #include <vector>
 
 #include "host/chaos.hpp"
-#include "host/slicer.hpp"
-#include "svc/online_detector.hpp"
-#include "svc/pump.hpp"
-#include "svc/supervisor.hpp"
-
-namespace offramps::host {
-struct RigOptions;
-}  // namespace offramps::host
+#include "svc/reference.hpp"
 
 namespace offramps::svc {
 
-/// Attaches one side-channel probe per enabled channel to `ro`, every
-/// probe's noise seed derived from `seed` via plant::probe_noise_seed.
-/// Shared by the batch fleet and the daemon's reference resolver so no
-/// caller can regress to the old fixed-default-seed behavior (which gave
-/// every rig in the farm the same sensor-noise sequence).
-void attach_probes(host::RigOptions& ro, const ChannelSet& channels,
-                   std::uint64_t seed);
+/// Upper bound of a fleet's worker threads, whether from offramps_fleetd
+/// --jobs or a spec's "workers".
+inline constexpr std::size_t kMaxWorkers = 1024;
+/// Upper bound of the other integer knobs a spec or flag may set
+/// (attempts, backoff ms, checkpoint interval, cache MiB, ring capacity).
+inline constexpr std::uint64_t kMaxSpecCount = 1'000'000;
 
 /// Sabotage implanted in one rig's g-code path (the Flaw3D families of
 /// paper Table II).  Parsed from "reduce:<factor>" / "relocate:<n>".
@@ -80,48 +71,21 @@ struct RigSpec {
   host::ChaosSpec chaos{};
 };
 
-/// Fleet-wide configuration.
-struct FleetOptions {
-  /// Worker threads; 0 = host::ParallelRunner::default_workers().
-  std::size_t workers = 0;
-  /// Per-rig detector tuning (channels, margins, ring capacity).
-  OnlineDetectorOptions detector{};
-  /// Per-rig consumer pump (service period, windows per slot).
-  PumpOptions pump{};
+/// Fleet-wide configuration: the options every campaign shares
+/// (ServiceOptions: workers, detector, pump, channels, references,
+/// cache, supervisor) plus the batch fleet's own.
+struct FleetOptions : ServiceOptions {
   /// Kill a rig's firmware the moment its detector alarms mid-print.
   bool safe_stop = true;
-  /// Arm the static-oracle channel (end-of-print tight-margin check and
-  /// g-code line attribution for alarms).
-  bool use_oracle = true;
-  /// Which side channels to probe and arm (steps, power, acoustic,
-  /// vibration - all on by default).  Probes are only attached for
-  /// enabled channels, and the same set keys the reference cache so a
-  /// golden without a channel's trace is never served to a campaign that
-  /// wants that channel.  Mirrored into detector.channels per rig.
-  ChannelSet channels{};
-  /// Fixed jitter seed of the reference prints.
-  std::uint64_t reference_seed = 42;
-  /// Slicer profile shared by every object in the fleet.
-  host::SliceProfile profile{};
   /// When set, persist each object's golden capture and each rig's
   /// observed capture as .bin files (core::Capture::save_binary) there,
   /// plus each rig's detector-feed session stream as a .ofs file
   /// (core::wire) replayable by svc::replay_corpus.
   std::string save_captures_dir;
-  /// When set, golden references are served from / persisted to this
-  /// svc::RefCache directory (content-addressed by object + slicer
-  /// profile + reference seed), so repeated campaigns skip the
-  /// reference simulations entirely.  Like save_captures_dir, this is
-  /// orchestration plumbing: it does not enter the campaign digest and
-  /// cannot change report bytes.
-  std::string cache_dir;
-  /// RefCache LRU size bound in bytes (0 = unbounded).
-  std::uint64_t cache_max_bytes = 0;
-  /// Per-phase retry/watchdog/quarantine policy.
-  SupervisorOptions supervisor{};
   /// When set, write a campaign checkpoint (completed rig verdicts plus
-  /// per-object golden references) there after every `checkpoint_every`
-  /// completed rigs, via write-to-temp + atomic rename.
+  /// per-object golden references) there as each reference resolves and
+  /// after every `checkpoint_every` completed rigs, via write-to-temp +
+  /// atomic rename.
   std::string checkpoint_path;
   std::size_t checkpoint_every = 1;
   /// When set, load this checkpoint first and skip (not re-simulate) the
@@ -150,8 +114,9 @@ struct RigOutcome {
   std::string failure_cause;
 };
 
-/// One orchestration phase's wall-clock cost ("reference/0" per object,
-/// "rig/<name>" per rig).
+/// One orchestration phase's wall-clock cost ("reference/0" per resolved
+/// object, "rig/<name>" per rig, counted from the moment its reference is
+/// in hand).
 struct PhaseTiming {
   std::string name;
   double seconds = 0.0;
@@ -216,7 +181,10 @@ class Fleet {
   ///       {"name": "a", "seed": 7, "cube_mm": 8, "height_mm": 3,
   ///        "sabotage": "reduce:0.85"}, ... ] }
   /// Unknown keys are ignored; rig defaults are RigSpec's.  Throws
-  /// offramps::Error on malformed JSON or a malformed sabotage string.
+  /// offramps::Error on malformed JSON, a malformed sabotage string, or
+  /// an integer field that is negative, fractional or out of range
+  /// ("workers" up to kMaxWorkers, seeds up to 2^64 - 1, the other counts
+  /// up to kMaxSpecCount).
   static std::vector<RigSpec> specs_from_json(const std::string& text,
                                               FleetOptions& options);
 

@@ -53,8 +53,7 @@ std::size_t estimate_gcode_line(const analyze::Oracle& oracle,
 
 OnlineDetector::OnlineDetector(OnlineDetectorOptions options)
     : options_(options), ring_(options.ring_capacity) {
-  channels_ =
-      ChannelRegistry::global().make_enabled(options_.channels, options_);
+  channels_ = make_channels(options_.channels, options_);
 }
 
 void OnlineDetector::ensure_armed() {

@@ -9,12 +9,12 @@
 // *while the print is running* instead of after the material is wasted.
 //
 // Detection is pluggable: each way of judging the stream is one
-// `DetectionChannel` (svc/channel.hpp) instantiated from the process
-// registry.  The detector delivers every event - transaction window,
-// side-channel sample, end of stream - to each enabled channel in
-// registration order, then *fuses* the trips they emit into one
-// first-alarm verdict (earliest window wins; ties go to the earlier
-// registered channel) with per-channel attribution in the report.
+// `DetectionChannel` (svc/channel.hpp) instantiated from the builtin
+// channel list.  The detector delivers every event - transaction window,
+// side-channel sample, end of stream - to each enabled channel in list
+// (fusion) order, then *fuses* the trips they emit into one first-alarm
+// verdict (earliest window wins; ties go to the earlier channel) with
+// per-channel attribution in the report.
 // The builtin channels:
 //
 //   * golden compare  - windowed step-count compare against a golden
@@ -130,7 +130,7 @@ struct OnlineReport {
   bool final_counts_match = true;
   detect::StaticCheckReport static_final;
   /// Per-channel attribution rows, one per instantiated channel, in
-  /// registration order.
+  /// fusion order.
   std::vector<ChannelVerdict> channels;
 
   [[nodiscard]] std::string to_string() const;
@@ -152,6 +152,9 @@ class OnlineDetector {
   OnlineDetector(const OnlineDetector&) = delete;
   OnlineDetector& operator=(const OnlineDetector&) = delete;
 
+  /// Sets every reference at once (svc::channel_refs builds them from a
+  /// resolved reference).  The pointees must outlive the detector.
+  void set_refs(const ChannelRefs& refs) { refs_ = refs; }
   /// Arms the golden-compare (and final-counts) channel.  The capture
   /// must outlive the detector.
   void set_golden(const core::Capture* golden) { refs_.golden = golden; }

@@ -41,19 +41,7 @@ void RigSession::on_frame(const core::wire::Frame& frame) {
           return;
         }
         detector_ = std::make_unique<OnlineDetector>(options_.detector);
-        detector_->set_golden(refs.golden);
-        if (refs.oracle != nullptr) detector_->set_oracle(refs.oracle);
-        if (refs.golden_power != nullptr && !refs.golden_power->empty()) {
-          detector_->set_golden_power(refs.golden_power);
-        }
-        if (refs.golden_acoustic != nullptr &&
-            !refs.golden_acoustic->empty()) {
-          detector_->set_golden_acoustic(refs.golden_acoustic);
-        }
-        if (refs.golden_vibration != nullptr &&
-            !refs.golden_vibration->empty()) {
-          detector_->set_golden_vibration(refs.golden_vibration);
-        }
+        detector_->set_refs(refs);
         break;
       }
       case FrameType::kTxn:

@@ -32,17 +32,10 @@
 
 namespace offramps::svc {
 
-/// References resolved for one session's object, after its hello.  The
-/// pointees must outlive the session.  `oracle` and the side-channel
-/// traces may be null (channel disarmed, exactly like FleetOptions
-/// use_oracle / the channel set).
-struct SessionRefs {
-  const core::Capture* golden = nullptr;
-  const analyze::Oracle* oracle = nullptr;
-  const plant::PowerTrace* golden_power = nullptr;
-  const plant::SideTrace* golden_acoustic = nullptr;
-  const plant::SideTrace* golden_vibration = nullptr;
-};
+/// References resolved for one session's object, after its hello (see
+/// svc::channel_refs).  The pointees must outlive the session; a null
+/// oracle or trace leaves that channel unarmed.
+using SessionRefs = ChannelRefs;
 
 struct SessionOptions {
   /// Detector tuning; must match the live campaign's for replay

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -119,6 +120,70 @@ TEST(Fleet, SpecsFromJsonRejectsMalformed) {
   EXPECT_THROW(Fleet::specs_from_json(
                    "{ \"rigs\": [{\"sabotage\": \"bogus\"}] }", options),
                offramps::Error);
+}
+
+// Every integer field of a spec rejects what an integer cannot hold:
+// casting such a double is undefined behavior, and "workers" beyond
+// kMaxWorkers or a huge ring would ask for threads or memory no host
+// has.  Parsing only - no fleet runs, so no rejected thread starts.
+struct SpecNumberCase {
+  const char* field;
+  bool per_rig;          // a rig entry's field rather than a top-level one
+  const char* largest;   // the largest accepted value
+  const char* too_large;
+};
+
+// Names the case in test listings (the default prints raw bytes).
+void PrintTo(const SpecNumberCase& c, std::ostream* os) { *os << c.field; }
+
+class SpecNumbers : public ::testing::TestWithParam<SpecNumberCase> {
+ protected:
+  static std::string spec(const SpecNumberCase& c, const std::string& v) {
+    const std::string kv = "\"" + std::string(c.field) + "\": " + v;
+    return c.per_rig ? "{ \"rigs\": [{" + kv + "}] }"
+                     : "{ " + kv + ", \"rigs\": [{}] }";
+  }
+};
+
+TEST_P(SpecNumbers, RejectsWhatAnIntegerCannotHold) {
+  const SpecNumberCase& c = GetParam();
+  FleetOptions options;
+  EXPECT_NO_THROW(Fleet::specs_from_json(spec(c, c.largest), options));
+  for (const std::string bad : {"-1", "0.5", "1e30", c.too_large}) {
+    FleetOptions o;
+    EXPECT_THROW(Fleet::specs_from_json(spec(c, bad), o), offramps::Error)
+        << c.field << " = " << bad;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fields, SpecNumbers,
+    ::testing::Values(
+        SpecNumberCase{"workers", false, "1024", "1025"},
+        SpecNumberCase{"ring_capacity", false, "1000000", "1e12"},
+        SpecNumberCase{"max_attempts", false, "1000000", "0"},
+        SpecNumberCase{"backoff_ms", false, "1000000", "1000001"},
+        SpecNumberCase{"checkpoint_every", false, "1000000", "0"},
+        SpecNumberCase{"cache_max_mb", false, "1000000", "1000001"},
+        SpecNumberCase{"seed", true, "18446744073709549568",
+                       "18446744073709551616"},
+        SpecNumberCase{"reference_seed", false, "18446744073709549568",
+                       "18446744073709551616"}),
+    [](const ::testing::TestParamInfo<SpecNumberCase>& p) {
+      return std::string(p.param.field);
+    });
+
+TEST(Fleet, SpecNumbersAtTheirBoundsParseExactly) {
+  FleetOptions options;
+  const auto specs = Fleet::specs_from_json(
+      "{ \"workers\": 1024, \"cache_max_mb\": 3, \"reference_seed\": "
+      "18446744073709549568, \"rigs\": [{\"seed\": 0}] }",
+      options);
+  EXPECT_EQ(options.workers, offramps::svc::kMaxWorkers);
+  EXPECT_EQ(options.cache_max_bytes, 3u << 20);
+  EXPECT_EQ(options.reference_seed, 18446744073709549568ull);
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].seed, 0u);
 }
 
 TEST(FleetReport, JsonEscapesControlCharactersInNames) {

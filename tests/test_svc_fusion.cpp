@@ -1,4 +1,4 @@
-// The fusion layer of the pluggable detector: channel naming, registry
+// The fusion layer of the pluggable detector: channel naming, channel-list
 // order (= fusion tie-break order), pick_first_trip's verdict rule, and
 // end-to-end attribution through OnlineDetector - which modality raised
 // the first alarm, which were armed but quiet, and what the degraded
@@ -25,10 +25,10 @@ using offramps::plant::SideTrace;
 using offramps::svc::Channel;
 using offramps::svc::channel_from_name;
 using offramps::svc::channel_name;
-using offramps::svc::ChannelRegistry;
 using offramps::svc::ChannelSet;
 using offramps::svc::ChannelTrip;
 using offramps::svc::ChannelVerdict;
+using offramps::svc::kBuiltinChannels;
 using offramps::svc::kChannelCount;
 using offramps::svc::OnlineDetector;
 using offramps::svc::OnlineDetectorOptions;
@@ -51,24 +51,29 @@ TEST(ChannelNames, RoundTripOverEveryChannel) {
 }
 
 TEST(ChannelNames, RegistryNamesMatchTheEnumNames) {
-  for (const auto& info : ChannelRegistry::global().list()) {
+  for (const auto& info : kBuiltinChannels) {
     EXPECT_STREQ(info.name, channel_name(info.id));
     EXPECT_EQ(channel_from_name(info.name), info.id);
   }
 }
 
-// ---- Registry order = legacy fused priority -----------------------------
+// ---- Channel-list order = legacy fused priority -------------------------
 
 TEST(ChannelRegistry, BuiltinsRegisterInLegacyPriorityOrder) {
-  const auto infos = ChannelRegistry::global().list();
-  ASSERT_GE(infos.size(), 8u);
   const std::array<Channel, 8> expected{
       Channel::kGoldenCompare, Channel::kStreamLength, Channel::kGoldenFree,
       Channel::kPower,         Channel::kAcoustic,     Channel::kVibration,
       Channel::kFinalCounts,   Channel::kStaticOracle};
+  ASSERT_EQ(kBuiltinChannels.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(infos[i].id, expected[i]) << "registry slot " << i;
-    EXPECT_TRUE(ChannelRegistry::global().has(expected[i]));
+    EXPECT_EQ(kBuiltinChannels[i].id, expected[i]) << "list slot " << i;
+  }
+  // A detector instantiates them in the same order: its attribution rows
+  // follow the list.
+  const OnlineReport report = OnlineDetector().report();
+  ASSERT_EQ(report.channels.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(report.channels[i].channel, expected[i]) << "row " << i;
   }
 }
 
